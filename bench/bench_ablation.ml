@@ -9,8 +9,8 @@
    - tiled CPU lowering: loop-structure difference of the contributed
      tiling pipeline (ops and parallel regions);
    - rewrite driver: wall time and pattern applications of the worklist
-     greedy driver vs the legacy whole-module sweep driver on the fig7
-     and fig10 compile pipelines (written to BENCH_rewrite.json). *)
+     greedy driver on the fig7 and fig10 compile pipelines (written to
+     BENCH_rewrite.json). *)
 
 open Ir
 
@@ -167,15 +167,12 @@ let overlap () =
       Printf.printf "    overlap=%-5b step %.2e s\n" ov t)
     [ false; true ]
 
-(* A/B the two greedy-rewrite drivers on whole compile pipelines.  Both
-   run the same patterns through the same Rewriter workspace; only the
-   scheduling differs (worklist re-enqueues users of changed values, the
-   sweep re-scans the whole module until a fixpoint).  Timing runs keep
-   Obs off so neither driver pays instrumentation cost; a separate
-   counted run per configuration collects pattern applications. *)
+(* The greedy worklist rewrite driver on whole compile pipelines.  Timing
+   runs keep Obs off so the driver pays no instrumentation cost; a
+   separate counted run per pipeline collects pattern applications. *)
 let rewrite_driver () =
   Printf.printf
-    " -- rewrite drivers on compile pipelines (best of %d, warm):\n" 5;
+    " -- rewrite driver on compile pipelines (best of %d, warm):\n" 5;
   let pipelines =
     [
       ( "fig7-heat2d-so2-openmp",
@@ -228,30 +225,24 @@ let rewrite_driver () =
     apps
   in
   let entries =
-    List.concat_map
+    List.map
       (fun (label, target, m) ->
-        List.map
-          (fun driver ->
-            Ir.Rewriter.set_default_driver driver;
-            let wall = time_compile target m in
-            let apps = count_pattern_apps target m in
-            let dname = Ir.Rewriter.driver_to_string driver in
-            Printf.printf "    %-26s %-9s %9.1f us, %4d pattern apps\n"
-              label dname (wall *. 1e6) apps;
-            (label, dname, wall, apps))
-          [ Ir.Rewriter.Sweep; Ir.Rewriter.Worklist ])
+        let wall = time_compile target m in
+        let apps = count_pattern_apps target m in
+        Printf.printf "    %-26s %9.1f us, %4d pattern apps\n" label
+          (wall *. 1e6) apps;
+        (label, wall, apps))
       pipelines
   in
-  Ir.Rewriter.set_default_driver Ir.Rewriter.Worklist;
   let json_path = Bench_paths.artifact "BENCH_rewrite.json" in
   let oc = open_out json_path in
   Printf.fprintf oc "{\n  \"bench\": \"rewrite_driver\",\n  \"entries\": [\n";
   List.iteri
-    (fun i (label, dname, wall, apps) ->
+    (fun i (label, wall, apps) ->
       Printf.fprintf oc
-        "    {\"pipeline\": %S, \"driver\": %S, \"wall_s\": %.9f, \
+        "    {\"pipeline\": %S, \"driver\": \"worklist\", \"wall_s\": %.9f, \
          \"pattern_apps\": %d}%s\n"
-        label dname wall apps
+        label wall apps
         (if i = List.length entries - 1 then "" else ","))
     entries;
   Printf.fprintf oc "  ]\n}\n";

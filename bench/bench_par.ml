@@ -128,8 +128,7 @@ let choose_decomposition m ~ranks ~overlap ~grid_override =
             Some b.Scale.Tune.c_wall_s )
       | None -> default)
 
-let run_workload (name, m) ~reps ~ranks ~overlap ~grid_override :
-    row * Analysis.msg_sample list =
+let run_workload (name, m) ~reps ~ranks ~overlap ~grid_override : row =
   let executor = Exec_compile.executor in
   let strategy, mode, tuned, pred_s =
     choose_decomposition m ~ranks ~overlap ~grid_override
@@ -153,7 +152,7 @@ let run_workload (name, m) ~reps ~ranks ~overlap ~grid_override :
   let analysis = traced.Driver.Harness.analysis in
   let host_cores = host_cores () in
   let oversubscribed = ranks > host_cores in
-  ( {
+  {
     workload = name;
     ranks;
     overlap;
@@ -175,18 +174,17 @@ let run_workload (name, m) ~reps ~ranks ~overlap ~grid_override :
       (if oversubscribed then None
        else
          Some (par.Driver.Harness.serial_wall_s /. par.Driver.Harness.wall_s));
-      messages = par.Driver.Harness.messages;
-      bytes = par.Driver.Harness.bytes;
-      cross_diff = Driver.Harness.max_result_diff par sim;
-      par_diff = par.Driver.Harness.max_diff_vs_serial;
-      overlap_efficiency =
-        Option.bind analysis (fun a -> a.Analysis.r_overlap.Analysis.ov_efficiency);
-      critical_path_s =
-        (match analysis with
-        | Some a -> a.Analysis.r_critical_path_s
-        | None -> 0.);
-    },
-    match analysis with Some a -> a.Analysis.r_samples | None -> [] )
+    messages = par.Driver.Harness.messages;
+    bytes = par.Driver.Harness.bytes;
+    cross_diff = Driver.Harness.max_result_diff par sim;
+    par_diff = par.Driver.Harness.max_diff_vs_serial;
+    overlap_efficiency =
+      Option.bind analysis (fun a -> a.Analysis.r_overlap.Analysis.ov_efficiency);
+    critical_path_s =
+      (match analysis with
+      | Some a -> a.Analysis.r_critical_path_s
+      | None -> 0.);
+  }
 
 let tile_label tiles =
   if tiles = [] then "off"
@@ -294,26 +292,6 @@ let write_json (rows : row list) (matrix : matrix_row list) =
   close_out oc;
   path
 
-(* Pool every traced run's matched (bytes, latency) message samples and
-   fit the alpha-beta postal model the scale-out replay engine consumes
-   (bucketed, outlier-robust, constrained nonnegative — see
-   Scale.Netmodel).  The JSON is written even when the fit degenerates:
-   null coefficients plus a fit_error beat fabricated ones. *)
-let write_netmodel ~workloads samples =
-  let fit = Scale.Netmodel.fit_alpha_beta samples in
-  let path = Bench_paths.artifact "BENCH_netmodel.json" in
-  let oc = open_out path in
-  output_string oc
-    (Scale.Netmodel.fit_json
-       ~meta:
-         [
-           ("substrate", "par");
-           ("workloads", String.concat "," workloads);
-         ]
-       fit);
-  close_out oc;
-  (fit, path)
-
 let run ?(smoke = false) ?grid_override () =
   Printf.printf "== Measured parallel execution (mpi_par vs mpi_sim) ==\n";
   (match grid_override with
@@ -362,16 +340,12 @@ let run ?(smoke = false) ?grid_override () =
     "   %-12s %5s %3s %6s %9s %10s %10s %10s %8s %9s %9s %7s %9s %10s\n"
     "workload" "ranks" "ov" "grid" "strategy" "serial_s" "sim_s" "par_s"
     "speedup" "msgs" "bytes" "ov_eff" "critpath" "par-sim";
-  let all_samples = ref [] in
   let rows =
     List.concat_map
       (fun w ->
         List.map
           (fun (ranks, overlap) ->
-            let r, samples =
-              run_workload w ~reps ~ranks ~overlap ~grid_override
-            in
-            all_samples := samples :: !all_samples;
+            let r = run_workload w ~reps ~ranks ~overlap ~grid_override in
             Printf.printf
               "   %-12s %5d %3s %6s %9s %10.4f %10.4f %10.4f %8s %9d %9d %7s \
                %9.4f %10.2e%s\n\
@@ -427,25 +401,6 @@ let run ?(smoke = false) ?grid_override () =
         time-share cores there)\n");
   let path = write_json rows matrix in
   Printf.printf "   (machine-readable copy: %s)\n" path;
-  (let fit, nm_path =
-     write_netmodel
-       ~workloads: (List.map fst workloads)
-       (List.concat (List.rev !all_samples))
-   in
-   match fit with
-   | Ok f ->
-       Printf.printf
-         "   network model: alpha=%.3e s, beta=%.3e s/byte, r2=%.3f over %d \
-          kept sample(s) in %d bucket(s), %d outlier(s) dropped (%s)\n"
-         f.Scale.Netmodel.f_alpha_s f.Scale.Netmodel.f_beta_s_per_byte
-         f.Scale.Netmodel.f_r2 f.Scale.Netmodel.f_samples
-         (List.length f.Scale.Netmodel.f_buckets)
-         f.Scale.Netmodel.f_dropped nm_path
-   | Error reason ->
-       Printf.printf
-         "   network model: fit not identified (%s) — null coefficients \
-          written (%s)\n"
-         reason nm_path);
   (if List.exists (fun r -> r.tuned) rows then
      Printf.printf
        "   (* = decomposition picked by the replay auto-tuner under the \

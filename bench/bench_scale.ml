@@ -122,7 +122,7 @@ let calibrate_model ~host_cores (traces : traced list) =
           t.t_report.Analysis.r_samples)
       traces
   in
-  let fit = Scale.Netmodel.fit_alpha_beta samples in
+  let fit = Analysis.fit_alpha_beta samples in
   let compute_s, pack_s, unpack_s =
     List.fold_left
       (fun (c, p, u) t ->
@@ -235,7 +235,7 @@ let curve (name, m) ~model ~model_name ~rank_counts : curve_row list =
         points
 
 let write_json ~smoke ~host_cores ~(model : Scale.Netmodel.t)
-    ~(fit : (Scale.Netmodel.fit, string) result)
+    ~(fit : (Analysis.fit, string) result)
     (validation : validation_row list) (curves : curve_row list) =
   let path = Bench_paths.artifact "BENCH_scaling.json" in
   let oc = open_out path in
@@ -328,8 +328,8 @@ let run ?(smoke = false) () =
       Printf.printf
         "   alpha-beta fit: r2=%.3f over %d kept sample(s) in %d bucket(s), \
          %d dropped\n"
-        f.Scale.Netmodel.f_r2 f.Scale.Netmodel.f_samples
-        (List.length f.Scale.Netmodel.f_buckets) f.Scale.Netmodel.f_dropped
+        f.Analysis.f_r2 f.Analysis.f_samples
+        (List.length f.Analysis.f_buckets) f.Analysis.f_dropped
   | Error e ->
       Printf.printf
         "   alpha-beta fit not identified (%s); host rates calibrated over \

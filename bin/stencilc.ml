@@ -246,16 +246,8 @@ let serve_handlers : Service.Serve.handlers =
   }
 
 (* Cache/store knobs shared by every serve mode (stdin, socket, tcp). *)
-let configure_service ~store_dir ~store_max_mb ~cache_capacity ~cache_eviction =
-  let eviction =
-    match Service.Cache.eviction_of_string cache_eviction with
-    | Some e -> e
-    | None ->
-        failwith
-          ("unknown eviction policy: " ^ cache_eviction
-         ^ " (expected fifo, lru or cost)")
-  in
-  Service.Artifact.set_policy ~capacity: cache_capacity ~eviction ();
+let configure_service ~store_dir ~store_max_mb ~cache_capacity =
+  Service.Artifact.set_policy ~capacity: cache_capacity;
   match store_dir with
   | None -> ()
   | Some dir ->
@@ -329,18 +321,16 @@ let serve_daemon endpoint =
     s.Service.Socket_server.batched_jobs;
   0
 
-let run_cmd input demo pipeline passes ranks strategy rewrite_driver
-    print_after verify stats profile pass_stats trace_out report run_par
-    run_sim stall_timeout exec overlap tile threads serve socket tcp_port
-    store_dir store_max_mb cache_capacity cache_eviction connect_to
-    autotune_ranks netmodel =
+let run_cmd input demo pipeline passes ranks strategy print_after verify
+    stats profile pass_stats trace_out report run_par run_sim stall_timeout
+    exec overlap tile threads serve socket tcp_port store_dir store_max_mb
+    cache_capacity connect_to autotune_ranks netmodel =
   try
     match connect_to with
     | Some spec -> client_pump spec
     | None ->
     if serve || socket <> None || tcp_port <> None then begin
-      configure_service ~store_dir ~store_max_mb ~cache_capacity
-        ~cache_eviction;
+      configure_service ~store_dir ~store_max_mb ~cache_capacity;
       match (socket, tcp_port) with
       | Some _, Some _ -> failwith "--socket and --tcp are mutually exclusive"
       | Some path, None ->
@@ -352,12 +342,6 @@ let run_cmd input demo pipeline passes ranks strategy rewrite_driver
           0
     end
     else begin
-    (match Ir.Rewriter.driver_of_string rewrite_driver with
-    | Some d -> Ir.Rewriter.set_default_driver d
-    | None ->
-        failwith
-          ("unknown rewrite driver: " ^ rewrite_driver
-         ^ " (expected worklist or sweep)"));
     (* Any observability flag installs the Obs sink before the pipeline
        runs; off otherwise, so plain compiles pay nothing. *)
     if profile || pass_stats || trace_out <> None then Obs.enable ();
@@ -464,16 +448,6 @@ let strategy_arg =
   Arg.(
     value & opt string "2d"
     & info [ "strategy" ] ~doc: "Decomposition strategy: 1d, 2d, 3d.")
-
-let rewrite_driver_arg =
-  Arg.(
-    value
-    & opt string "worklist"
-    & info [ "rewrite-driver" ] ~docv: "DRIVER"
-        ~doc:
-          "Greedy rewrite driver for pattern passes: worklist (default, \
-           re-enqueues only users of changed values) or sweep (legacy \
-           whole-module sweeps, for A/B comparison).")
 
 let print_after_arg =
   Arg.(value & flag & info [ "print-after-all" ] ~doc: "Dump IR after each pass.")
@@ -659,16 +633,6 @@ let cache_capacity_arg =
           "Maximum artifacts retained by the in-memory cache (0 or \
            negative: unbounded).")
 
-let cache_eviction_arg =
-  Arg.(
-    value & opt string "lru"
-    & info [ "cache-eviction" ] ~docv: "POLICY"
-        ~doc:
-          "Eviction policy when the cache exceeds its capacity: lru \
-           (default), fifo, or cost (evict the cheapest-to-recompile \
-           entry, by recorded compile seconds, among the least recently \
-           used).")
-
 let connect_arg =
   Arg.(
     value
@@ -708,12 +672,12 @@ let cmd =
     (Cmd.info "stencilc" ~doc)
     Term.(
       const run_cmd $ input_arg $ demo_arg $ pipeline_arg $ passes_arg
-      $ ranks_arg $ strategy_arg $ rewrite_driver_arg $ print_after_arg
+      $ ranks_arg $ strategy_arg $ print_after_arg
       $ verify_arg $ stats_arg $ profile_arg $ pass_stats_arg
       $ trace_out_arg $ report_arg $ run_par_arg $ run_sim_arg
       $ stall_timeout_arg $ exec_arg $ overlap_arg $ tile_arg $ threads_arg
       $ serve_arg $ socket_arg $ tcp_arg $ store_arg $ store_max_mb_arg
-      $ cache_capacity_arg $ cache_eviction_arg $ connect_arg $ autotune_arg
+      $ cache_capacity_arg $ connect_arg $ autotune_arg
       $ netmodel_arg)
 
 let () = exit (Cmd.eval' cmd)

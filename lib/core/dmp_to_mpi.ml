@@ -237,7 +237,7 @@ let lower_swap bld (op : Op.t) =
    matching swap_wait) is keyed by the begin's first replacement request
    value in a table the pattern closures share per [run].  The begin's
    rewrite remaps the wait's request operands, which is what re-enqueues
-   (or, under the sweep driver, re-visits) the wait; a wait whose operand
+   the wait; a wait whose operand
    is not yet a lowered request simply does not match yet. *)
 let patterns () =
   let pending : (int, posted list) Hashtbl.t = Hashtbl.create 4 in

@@ -1,16 +1,7 @@
-(* Rewrite patterns and the legacy greedy sweep driver.  A pattern inspects
-   one op and can replace it with a list of new ops together with a mapping
-   from the old results to values produced by the replacement; the driver
-   splices the new ops in and substitutes subsequent uses.  Sweeps repeat
-   until fixpoint.
-
-   New code should go through Rewriter (the indexed worklist core);
-   [run_on_module] is kept as the compatibility sweep implementation and as
-   the semantic baseline the Rewriter is property-tested against. *)
-
-let log_src = Logs.Src.create "ir.pattern" ~doc: "Legacy sweep rewrite driver"
-
-module Log = (val Logs.src_log log_src)
+(* Context-free rewrite patterns.  A pattern inspects one op and can
+   replace it with a list of new ops together with a mapping from the old
+   results to values produced by the replacement; the Rewriter driver
+   splices the new ops in and substitutes subsequent uses. *)
 
 type rewrite =
   | Replace of Op.t list * (Value.t * Value.t) list
@@ -22,97 +13,3 @@ let pattern pname apply = { pname; apply }
 
 (* Replace an op by new ops whose final op redefines the same results. *)
 let replace_with ops mapping = Some (Replace (ops, mapping))
-
-let max_sweeps = 100
-
-let rewrite_block changed last_pattern patterns (b : Op.block) : Op.block =
-  let rec rewrite_op op =
-    (* Bottom-up: rewrite nested regions first. *)
-    let op =
-      if op.Op.regions = [] then op
-      else
-        {
-          op with
-          Op.regions =
-            List.map
-              (fun (r : Op.region) ->
-                { Op.blocks = List.map rewrite_region_block r.Op.blocks })
-              op.Op.regions;
-        }
-    in
-    let rec try_patterns = function
-      | [] -> ([ op ], [])
-      | p :: rest -> (
-          match p.apply op with
-          | None -> try_patterns rest
-          | Some Erase ->
-              changed := true;
-              last_pattern := p.pname;
-              Obs.Patterns.note p.pname;
-              ([], [])
-          | Some (Replace (ops, mapping)) ->
-              changed := true;
-              last_pattern := p.pname;
-              Obs.Patterns.note p.pname;
-              (ops, mapping))
-    in
-    try_patterns patterns
-  and rewrite_region_block (b : Op.block) : Op.block =
-    let subst = ref Value.Map.empty in
-    let rev_ops =
-      List.fold_left
-        (fun acc op ->
-          let op = Op.substitute !subst op in
-          let new_ops, mapping = rewrite_op op in
-          List.iter
-            (fun (old_v, new_v) -> subst := Value.Map.add old_v new_v !subst)
-            mapping;
-          List.rev_append new_ops acc)
-        [] b.Op.ops
-    in
-    { b with Op.ops = List.rev rev_ops }
-  in
-  rewrite_region_block b
-
-let run_on_module patterns (m : Op.t) : Op.t =
-  let last_pattern = ref "" in
-  let rec sweep n m =
-    if n >= max_sweeps then begin
-      (* A sweep at the cap still changed the module: the pattern set does
-         not converge.  Say so instead of returning quietly. *)
-      Log.warn (fun f ->
-          f
-            "legacy sweep driver hit max_sweeps (%d) without converging; \
-             last applied pattern: %s"
-            max_sweeps
-            (if !last_pattern = "" then "<none>" else !last_pattern));
-      Obs.Trace.instant ~cat: "rewrite"
-        ~args:
-          [
-            ("driver", Obs.Str "legacy-sweep");
-            ("budget", Obs.Int max_sweeps);
-            ("last_pattern", Obs.Str !last_pattern);
-          ]
-        "rewrite-non-convergence";
-      m
-    end
-    else begin
-      let changed = ref false in
-      let m' =
-        {
-          m with
-          Op.regions =
-            List.map
-              (fun (r : Op.region) ->
-                { Op.blocks =
-                    List.map
-                      (rewrite_block changed last_pattern patterns)
-                      r.Op.blocks;
-                })
-              m.Op.regions;
-        }
-      in
-      if !changed then sweep (n + 1) m' else m'
-    end
-  in
-  sweep 0 m

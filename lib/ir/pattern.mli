@@ -1,5 +1,5 @@
-(** Rewrite patterns and a greedy fixpoint driver, in the style of MLIR's
-    pattern rewriting infrastructure. *)
+(** Context-free rewrite patterns, in the style of MLIR's pattern
+    rewriting infrastructure; {!Rewriter} drives them to fixpoint. *)
 
 (** Outcome of a successful match on one op. *)
 type rewrite =
@@ -18,10 +18,3 @@ val pattern : string -> (Op.t -> rewrite option) -> pattern
 
 val replace_with : Op.t list -> (Value.t * Value.t) list -> rewrite option
 
-val run_on_module : pattern list -> Op.t -> Op.t
-(** Apply the patterns greedily, bottom-up, sweeping until fixpoint (bounded
-    number of sweeps, warning through [Logs]/{!Obs} when the bound is hit).
-    This is the legacy sweep driver, kept as a compatibility shim and as the
-    baseline the {!Rewriter} worklist driver is property-tested against;
-    pass construction should go through [Pass.of_patterns], which uses the
-    shared {!Rewriter} core. *)

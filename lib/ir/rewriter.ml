@@ -1,29 +1,23 @@
 (* The shared rewrite core: an indexed, mutable view of a module (the
-   workspace) plus two greedy pattern drivers built on top of it.
+   workspace) plus the greedy worklist pattern driver built on top of it.
 
    The workspace decomposes the immutable [Op.t] tree into node and block
    tables addressed by integer ids, with per-[Value] use-def indices
    (defining node / block argument, user nodes with operand counts) and a
    doubly-linked op order per block.  Mutations ([replace_op], [erase_op],
    [replace_all_uses], [insert_before/after], [move_before]) keep the
-   indices consistent incrementally, so a driver can re-examine only the
+   indices consistent incrementally, so the driver can re-examine only the
    users of changed values instead of re-sweeping the whole module.
 
-   Two drivers share the workspace, the pattern representation and the
-   per-root-op pattern index:
+   The driver is MLIR-style greedy rewriting over a per-root-op pattern
+   index.  All ops are seeded in reverse post-order on a LIFO worklist;
+   applying a rewrite re-enqueues the replacement ops, the users of
+   remapped values and the ancestor ops, and ops that become trivially
+   dead (per the driver's [dead] predicate) are erased on the spot.
 
-   - [Worklist] (the default): MLIR-style greedy rewriting.  All ops are
-     seeded in reverse post-order on a LIFO worklist; applying a rewrite
-     re-enqueues the replacement ops, the users of remapped values and
-     the ancestor ops, and ops that become trivially dead (per the
-     driver's [dead] predicate) are erased on the spot.
-
-   - [Sweep]: full-module sweeps to fixpoint, kept for A/B comparison
-     (`stencilc --rewrite-driver=sweep`, `bench/main.exe ablation`).
-
-   Hitting the iteration budget of either driver emits a warning through
-   Logs and an Obs instant event naming the pass and the last applied
-   pattern instead of silently returning a non-converged module. *)
+   Hitting the iteration budget emits a warning through Logs and an Obs
+   instant event naming the pass and the last applied pattern instead of
+   silently returning a non-converged module. *)
 
 let log_src = Logs.Src.create "ir.rewriter" ~doc: "Shared rewrite core"
 
@@ -483,21 +477,6 @@ let pattern ?(roots = []) pname rewrite = { pname; roots; rewrite }
 let of_legacy (p : Pattern.pattern) =
   { pname = p.Pattern.pname; roots = []; rewrite = (fun _ op -> p.Pattern.apply op) }
 
-(* --- driver selection --- *)
-
-type driver = Worklist | Sweep
-
-let driver_to_string = function Worklist -> "worklist" | Sweep -> "sweep"
-
-let driver_of_string = function
-  | "worklist" -> Some Worklist
-  | "sweep" -> Some Sweep
-  | _ -> None
-
-let default = ref Worklist
-let set_default_driver d = default := d
-let default_driver () = !default
-
 (* --- pattern index: patterns tried per root op name, in list order --- *)
 
 type index = {
@@ -541,7 +520,7 @@ let candidates idx name =
       Hashtbl.replace idx.resolved name ps;
       ps
 
-(* --- shared driver pieces --- *)
+(* --- the worklist driver --- *)
 
 type counters = {
   mutable enqueued : int;
@@ -549,7 +528,6 @@ type counters = {
   mutable max_depth : int;
   mutable applied : int;
   mutable erased_dead : int;
-  mutable sweeps : int;
 }
 
 (* An op the driver may erase on its own: regionless (the workspace's
@@ -571,7 +549,7 @@ let rec try_candidates ctx op = function
       | Some rw -> Some (p, rw))
 
 (* Materializing a node (rebuilding its region subtree as an [Op.t]) is
-   the expensive step of a visit, so both drivers consult the pattern
+   the expensive step of a visit, so the driver consults the pattern
    index on the cheap shallow record first and only materialize ops that
    have at least one candidate pattern. *)
 let try_patterns ctx idx nid =
@@ -579,24 +557,21 @@ let try_patterns ctx idx nid =
   | [] -> None
   | cands -> try_candidates ctx (Workspace.op ctx.ws nid) cands
 
-let warn_non_convergence ~name ~driver ~budget ~last_pattern =
+let warn_non_convergence ~name ~budget ~last_pattern =
   Log.warn (fun f ->
       f
-        "pass %s: %s driver hit its budget (%d) without converging; last \
-         applied pattern: %s"
-        name (driver_to_string driver) budget
+        "pass %s: rewrite driver hit its budget (%d) without converging; \
+         last applied pattern: %s"
+        name budget
         (if last_pattern = "" then "<none>" else last_pattern));
   Obs.Trace.instant ~cat: "rewrite"
     ~args:
       [
         ("pass", Obs.Str name);
-        ("driver", Obs.Str (driver_to_string driver));
         ("budget", Obs.Int budget);
         ("last_pattern", Obs.Str last_pattern);
       ]
     "rewrite-non-convergence"
-
-(* --- the worklist driver --- *)
 
 let run_worklist ws ~name ~dead idx (c : counters) =
   let ctx =
@@ -621,7 +596,7 @@ let run_worklist ws ~name ~dead idx (c : counters) =
     end
   in
   (* Seed in reverse post order: pops then follow program order with
-     nested ops visited before their parents, like the legacy sweep.
+     nested ops visited before their parents.
      Ops with no candidate pattern for their name and no chance of
      driver-side erasure are not seeded at all — visiting them would be a
      no-op, and any later mutation that could make them interesting
@@ -700,84 +675,24 @@ let run_worklist ws ~name ~dead idx (c : counters) =
   in
   loop ();
   if !exhausted then
-    warn_non_convergence ~name ~driver: Worklist ~budget
-      ~last_pattern: !last_pattern
+    warn_non_convergence ~name ~budget ~last_pattern: !last_pattern
 
-(* --- the legacy-style sweep driver on the workspace --- *)
-
-let max_sweeps = 100
-
-let run_sweep ws ~name ~dead idx (c : counters) =
-  let ctx =
-    {
-      ws;
-      def = (fun v -> Workspace.def_op ws v);
-      uses = (fun v -> Workspace.use_count ws v);
-    }
-  in
-  let last_pattern = ref "" in
-  let rec sweep i =
-    c.sweeps <- i + 1;
-    let changed = ref false in
-    List.iter
-      (fun nid ->
-        if not (Workspace.is_erased ws nid) then begin
-          c.processed <- c.processed + 1;
-          if dead_candidate ws dead nid then begin
-            ignore (Workspace.erase_op ws nid);
-            c.erased_dead <- c.erased_dead + 1;
-            changed := true
-          end
-          else
-            match try_patterns ctx idx nid with
-            | None -> ()
-            | Some (p, rw) ->
-                Obs.Patterns.note p.pname;
-                c.applied <- c.applied + 1;
-                last_pattern := p.pname;
-                changed := true;
-                (match rw with
-                | Pattern.Erase -> ignore (Workspace.erase_op ws nid)
-                | Pattern.Replace (ops, mapping) ->
-                    ignore (Workspace.replace_op ws nid ops mapping))
-        end)
-      (Workspace.post_order ws);
-    if !changed then
-      if i + 1 >= max_sweeps then
-        warn_non_convergence ~name ~driver: Sweep ~budget: max_sweeps
-          ~last_pattern: !last_pattern
-      else sweep (i + 1)
-  in
-  sweep 0
-
-let run ?driver ?(dead = fun _ -> false) ~name patterns (m : Op.t) : Op.t =
-  let driver = match driver with Some d -> d | None -> !default in
+let run ?(dead = fun _ -> false) ~name patterns (m : Op.t) : Op.t =
   let ws = Workspace.of_op m in
   let idx = index_patterns patterns in
   let c =
-    {
-      enqueued = 0;
-      processed = 0;
-      max_depth = 0;
-      applied = 0;
-      erased_dead = 0;
-      sweeps = 0;
-    }
+    { enqueued = 0; processed = 0; max_depth = 0; applied = 0; erased_dead = 0 }
   in
-  (match driver with
-  | Worklist -> run_worklist ws ~name ~dead idx c
-  | Sweep -> run_sweep ws ~name ~dead idx c);
+  run_worklist ws ~name ~dead idx c;
   if Obs.enabled () then
     Obs.Rewrites.record
       {
         Obs.rw_pass = name;
-        rw_driver = driver_to_string driver;
         rw_enqueued = c.enqueued;
         rw_processed = c.processed;
         rw_max_depth = c.max_depth;
         rw_applied = c.applied;
         rw_erased_dead = c.erased_dead;
-        rw_sweeps = c.sweeps;
       };
   Workspace.to_op ws
 

@@ -1,13 +1,10 @@
 (** The shared rewrite core: an indexed module workspace with use-def
-    tracking plus the greedy pattern drivers built on it.
+    tracking plus the greedy worklist pattern driver built on it.
 
     The workspace gives passes an op-by-id, mutable view of a module —
     per-value defining sites and user counts, doubly-linked op order per
     block — with a small mutation API that keeps the indices consistent.
-    Two drivers share it: the default worklist driver re-enqueues only
-    the users of changed values, and the legacy-style sweep driver
-    re-visits the whole module until fixpoint (kept for A/B via
-    [stencilc --rewrite-driver=sweep] and the ablation bench). *)
+    The driver re-enqueues only the users of changed values. *)
 
 module Workspace : sig
   type t
@@ -113,7 +110,7 @@ type pattern = {
   pname : string;
   roots : string list;
       (** Op names the pattern can match; [[]] means try on every op.
-          The drivers dispatch through a per-root index, so rooted
+          The driver dispatches through a per-root index, so rooted
           patterns are only tried where they can fire. *)
   rewrite : ctx -> Op.t -> Pattern.rewrite option;
 }
@@ -124,27 +121,15 @@ val pattern :
 
 val of_legacy : Pattern.pattern -> pattern
 (** Wrap a context-free legacy pattern (no declared roots, so it is
-    tried on every op, as under the old sweep driver). *)
-
-type driver = Worklist | Sweep
-
-val driver_to_string : driver -> string
-val driver_of_string : string -> driver option
-
-val set_default_driver : driver -> unit
-(** Select the driver used when {!run} is not given one explicitly
-    (initially [Worklist]); [stencilc --rewrite-driver] sets this. *)
-
-val default_driver : unit -> driver
+    tried on every op). *)
 
 val run :
-  ?driver:driver -> ?dead:(Op.t -> bool) -> name:string -> pattern list ->
-  Op.t -> Op.t
-(** Apply the patterns greedily until fixpoint under the selected driver.
+  ?dead:(Op.t -> bool) -> name:string -> pattern list -> Op.t -> Op.t
+(** Apply the patterns greedily until fixpoint.
     [dead] marks regionless ops the driver may erase on its own once all
     their results are unused (typically {!Transforms.Effects}'
     [removable_if_unused]), which folds trivial DCE into the rewrite.
-    Applications are counted through {!Obs.Patterns}; worklist/sweep
+    Applications are counted through {!Obs.Patterns}; worklist
     counters are recorded through {!Obs.Rewrites}; hitting the iteration
     budget warns through [Logs] and an Obs instant event instead of
     failing. *)

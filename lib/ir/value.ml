@@ -4,16 +4,22 @@
 
 type t = { id : int; ty : Typesys.ty }
 
-let counter = ref 0
+(* Shared by every domain: the compile daemon parses on connection
+   domains while its batch worker runs passes, so allocation must never
+   hand out an id twice or move the counter backwards. *)
+let counter = Atomic.make 0
 
-let fresh ty =
-  incr counter;
-  { id = !counter; ty }
+let fresh ty = { id = Atomic.fetch_and_add counter 1 + 1; ty }
 
 (* Used only by the parser, which must materialize values with the ids
-   appearing in the source text. *)
+   appearing in the source text: raise the counter to [id] unless another
+   domain already moved it past. *)
 let with_id id ty =
-  if id > !counter then counter := id;
+  let rec raise_to () =
+    let cur = Atomic.get counter in
+    if id > cur && not (Atomic.compare_and_set counter cur id) then raise_to ()
+  in
+  raise_to ();
   { id; ty }
 
 let id v = v.id

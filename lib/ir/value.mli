@@ -10,7 +10,8 @@ val fresh : Typesys.ty -> t
 
 val with_id : int -> Typesys.ty -> t
 (** Materialize a value with a given id (parser only); keeps the internal
-    counter ahead of every explicit id. *)
+    counter ahead of every explicit id.  Both allocators are safe to call
+    from several domains at once. *)
 
 val id : t -> int
 val ty : t -> Typesys.ty

@@ -2,8 +2,8 @@
    (Mpi_intf.timeline_event list) into per-rank phase breakdowns, a
    rank x rank communication matrix, the critical path through the
    happens-before graph, an overlap-efficiency figure and the matched
-   (bytes, latency) samples a least-squares alpha-beta network model is
-   fitted from.
+   (bytes, latency) samples the alpha-beta network model is fitted from
+   (bucketed, outlier-rejecting, constrained least squares).
 
    Phase attribution works on each rank's event sequence with a phase
    stack: pcontrol spans open pack/unpack phases, wait/waitall spans open
@@ -348,53 +348,160 @@ let analyze ~ranks (tl : Mpi_intf.timeline_event list) : report =
     r_unmatched_sends = unmatched;
   }
 
-(* --- alpha-beta network-model calibration --- *)
+(* --- alpha-beta network-model calibration ---
 
-type netmodel = {
-  nm_alpha_s : float;
-  nm_beta_s_per_byte : float;
-  nm_r2 : float;
-  nm_samples : int;
+   The fit deliberately does NOT pool every matched message into one
+   ordinary least squares: on an oversubscribed host a message can sit
+   matched-but-unserviced for milliseconds while the receiving domain is
+   descheduled, and those stalls correlate with *small* late-run
+   messages — pooled OLS then slopes downward (a negative per-byte cost)
+   while explaining almost nothing (r² ≈ 0).  Bucketing by message size,
+   rejecting per-bucket latency outliers and constraining the line
+   nonnegative yields coefficients that are at least physical; when even
+   that cannot be identified the fit fails loudly. *)
+
+type bucket = {
+  bk_bytes : int;
+  bk_samples : int;
+  bk_kept : int;
+  bk_mean_s : float;
 }
 
-let fit_netmodel (samples : msg_sample list) : netmodel option =
-  match samples with
-  | [] -> None
-  | _ ->
-      let n = float_of_int (List.length samples) in
-      let sx, sy =
-        List.fold_left
-          (fun (sx, sy) s ->
-            (sx +. float_of_int s.ms_bytes, sy +. (s.ms_recv_ts -. s.ms_send_ts)))
-          (0., 0.) samples
-      in
-      let mx = sx /. n and my = sy /. n in
-      let sxx, sxy, syy =
-        List.fold_left
-          (fun (sxx, sxy, syy) s ->
-            let dx = float_of_int s.ms_bytes -. mx in
-            let dy = s.ms_recv_ts -. s.ms_send_ts -. my in
-            (sxx +. (dx *. dx), sxy +. (dx *. dy), syy +. (dy *. dy)))
-          (0., 0., 0.) samples
-      in
-      let beta = if sxx > 0. then sxy /. sxx else 0. in
-      let alpha = my -. (beta *. mx) in
-      let ss_res =
-        List.fold_left
-          (fun acc s ->
-            let predicted = alpha +. (beta *. float_of_int s.ms_bytes) in
-            let e = s.ms_recv_ts -. s.ms_send_ts -. predicted in
-            acc +. (e *. e))
-          0. samples
-      in
-      let r2 = if syy > 0. then 1. -. (ss_res /. syy) else 1. in
-      Some
+type fit = {
+  f_alpha_s : float;
+  f_beta_s_per_byte : float;
+  f_r2 : float;
+  f_samples : int;
+  f_dropped : int;
+  f_buckets : bucket list;
+}
+
+let median (xs : float list) =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n = 0 then 0.
+  else if n mod 2 = 1 then a.(n / 2)
+  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+(* Latencies beyond [outlier_k] times their bucket's median are dropped;
+   [min_buckets] distinct sizes and [min_kept] surviving samples are
+   needed to identify the line. *)
+let outlier_k = 4.
+let min_buckets = 2
+let min_kept = 8
+
+let fit_alpha_beta (samples : msg_sample list) : (fit, string) result =
+  let by_size : (int, float list ref) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun s ->
+      let lat = s.ms_recv_ts -. s.ms_send_ts in
+      if Float.is_finite lat && lat >= 0. then begin
+        match Hashtbl.find_opt by_size s.ms_bytes with
+        | Some l -> l := lat :: !l
+        | None -> Hashtbl.add by_size s.ms_bytes (ref [ lat ])
+      end)
+    samples;
+  let buckets =
+    Hashtbl.fold
+      (fun bytes lats acc ->
+        let all = !lats in
+        let med = median all in
+        (* Outlier rejection: latencies beyond [outlier_k] times the
+           bucket median are descheduling stalls (time-shared domains),
+           not network behavior. *)
+        let cutoff = outlier_k *. Float.max med 1e-12 in
+        let kept = List.filter (fun l -> l <= cutoff) all in
+        let kept = if kept = [] then all else kept in
+        let mean =
+          List.fold_left ( +. ) 0. kept /. float_of_int (List.length kept)
+        in
         {
-          nm_alpha_s = alpha;
-          nm_beta_s_per_byte = beta;
-          nm_r2 = r2;
-          nm_samples = List.length samples;
+          bk_bytes = bytes;
+          bk_samples = List.length all;
+          bk_kept = List.length kept;
+          bk_mean_s = mean;
         }
+        :: acc)
+      by_size []
+    |> List.sort (fun a b -> compare a.bk_bytes b.bk_bytes)
+  in
+  let kept_total = List.fold_left (fun acc b -> acc + b.bk_kept) 0 buckets in
+  let dropped =
+    List.fold_left (fun acc b -> acc + b.bk_samples - b.bk_kept) 0 buckets
+  in
+  if buckets = [] then Error "no matched message samples"
+  else if List.length buckets < min_buckets then
+    Error
+      (Printf.sprintf
+         "only %d distinct message size(s); %d needed to identify alpha and \
+          beta"
+         (List.length buckets) min_buckets)
+  else if kept_total < min_kept then
+    Error
+      (Printf.sprintf "only %d sample(s) after outlier rejection; %d needed"
+         kept_total min_kept)
+  else begin
+    (* Weighted least squares over the bucket means, weight = kept count. *)
+    let sw, swx, swy =
+      List.fold_left
+        (fun (sw, swx, swy) b ->
+          let w = float_of_int b.bk_kept in
+          ( sw +. w,
+            swx +. (w *. float_of_int b.bk_bytes),
+            swy +. (w *. b.bk_mean_s) ))
+        (0., 0., 0.) buckets
+    in
+    let mx = swx /. sw and my = swy /. sw in
+    let sxx, sxy, syy =
+      List.fold_left
+        (fun (sxx, sxy, syy) b ->
+          let w = float_of_int b.bk_kept in
+          let dx = float_of_int b.bk_bytes -. mx in
+          let dy = b.bk_mean_s -. my in
+          (sxx +. (w *. dx *. dx), sxy +. (w *. dx *. dy), syy +. (w *. dy *. dy)))
+        (0., 0., 0.) buckets
+    in
+    let beta = if sxx > 0. then sxy /. sxx else 0. in
+    let alpha = my -. (beta *. mx) in
+    (* Nonnegativity: project onto the constraint set (for a 2-parameter
+       line the active-set solution is one of the two axis fits). *)
+    let alpha, beta =
+      if beta < 0. then (Float.max 0. my, 0.)
+      else if alpha < 0. then begin
+        let sxx0, sxy0 =
+          List.fold_left
+            (fun (sxx0, sxy0) b ->
+              let w = float_of_int b.bk_kept in
+              let x = float_of_int b.bk_bytes in
+              (sxx0 +. (w *. x *. x), sxy0 +. (w *. x *. b.bk_mean_s)))
+            (0., 0.) buckets
+        in
+        (0., if sxx0 > 0. then Float.max 0. (sxy0 /. sxx0) else 0.)
+      end
+      else (alpha, beta)
+    in
+    let ss_res =
+      List.fold_left
+        (fun acc b ->
+          let w = float_of_int b.bk_kept in
+          let e =
+            b.bk_mean_s -. (alpha +. (beta *. float_of_int b.bk_bytes))
+          in
+          acc +. (w *. e *. e))
+        0. buckets
+    in
+    let r2 = if syy > 0. then 1. -. (ss_res /. syy) else 1. in
+    Ok
+      {
+        f_alpha_s = alpha;
+        f_beta_s_per_byte = beta;
+        f_r2 = r2;
+        f_samples = kept_total;
+        f_dropped = dropped;
+        f_buckets = buckets;
+      }
+  end
 
 (* --- rendering --- *)
 
@@ -471,12 +578,14 @@ let pp_report fmt (r : report) =
   (match ov.ov_efficiency with
   | Some e -> Format.fprintf fmt ", efficiency %.1f%%@." (100. *. e)
   | None -> Format.fprintf fmt ", efficiency n/a (no matched messages)@.");
-  match fit_netmodel r.r_samples with
-  | None -> Format.fprintf fmt "network model: no message samples@."
-  | Some nm ->
+  match fit_alpha_beta r.r_samples with
+  | Error reason ->
+      Format.fprintf fmt "network model: not identified: %s@." reason
+  | Ok f ->
       Format.fprintf fmt
-        "network model fit: alpha=%.3e s, beta=%.3e s/byte, r2=%.3f (n=%d)@."
-        nm.nm_alpha_s nm.nm_beta_s_per_byte nm.nm_r2 nm.nm_samples
+        "network model fit: alpha=%.3e s, beta=%.3e s/byte, r2=%.3f (kept=%d, \
+         dropped=%d)@."
+        f.f_alpha_s f.f_beta_s_per_byte f.f_r2 f.f_samples f.f_dropped
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -517,6 +626,30 @@ let float_matrix_json (m : float array array) =
               ^ "]")
             m))
   ^ "]"
+
+(* The fit's verdict as one JSON object.  On [Error], alpha/beta/r² are
+   [null] with a ["fit_error"] naming the reason, so a degenerate
+   calibration is visible, not papered over. *)
+let fit_json (f : (fit, string) result) : string =
+  match f with
+  | Error reason ->
+      Printf.sprintf
+        "{\"alpha_s\": null, \"beta_s_per_byte\": null, \"r2\": null, \
+         \"samples\": 0, \"fit_error\": \"%s\"}"
+        (json_escape reason)
+  | Ok f ->
+      Printf.sprintf
+        "{\"alpha_s\": %.9g, \"beta_s_per_byte\": %.9g, \"r2\": %.6f, \
+         \"samples\": %d, \"dropped_outliers\": %d, \"buckets\": [%s]}"
+        f.f_alpha_s f.f_beta_s_per_byte f.f_r2 f.f_samples f.f_dropped
+        (String.concat ", "
+           (List.map
+              (fun bk ->
+                Printf.sprintf
+                  "{\"bytes\": %d, \"samples\": %d, \"kept\": %d, \
+                   \"mean_s\": %.9g}"
+                  bk.bk_bytes bk.bk_samples bk.bk_kept bk.bk_mean_s)
+              f.f_buckets))
 
 let report_json (r : report) : string =
   let b = Buffer.create 4096 in
@@ -571,28 +704,7 @@ let report_json (r : report) : string =
        | None -> "null"));
   Buffer.add_string b
     (Printf.sprintf "  \"unmatched_sends\": %d,\n" r.r_unmatched_sends);
-  (match fit_netmodel r.r_samples with
-  | None -> Buffer.add_string b "  \"netmodel\": null\n"
-  | Some nm ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  \"netmodel\": {\"alpha_s\": %.9g, \"beta_s_per_byte\": %.9g, \
-            \"r2\": %.6f, \"samples\": %d}\n"
-           nm.nm_alpha_s nm.nm_beta_s_per_byte nm.nm_r2 nm.nm_samples));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-let netmodel_json ?(meta = []) (nm : netmodel) : string =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{\n  \"bench\": \"netmodel\",\n";
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "  \"%s\": \"%s\",\n" (json_escape k) (json_escape v)))
-    meta;
   Buffer.add_string b
-    (Printf.sprintf
-       "  \"alpha_s\": %.9g,\n  \"beta_s_per_byte\": %.9g,\n  \"r2\": %.6f,\n\
-       \  \"samples\": %d\n}\n"
-       nm.nm_alpha_s nm.nm_beta_s_per_byte nm.nm_r2 nm.nm_samples);
+    (Printf.sprintf "  \"netmodel\": %s\n" (fit_json (fit_alpha_beta r.r_samples)));
+  Buffer.add_string b "}\n";
   Buffer.contents b

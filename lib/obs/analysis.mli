@@ -95,21 +95,41 @@ val analyze : ranks:int -> Mpi_intf.timeline_event list -> report
 (** Analyze one run's timeline (as returned by a substrate's [timeline]
     accessor, any event order — events are re-sorted by [seq]). *)
 
-(** {1 Network-model calibration} *)
+(** {1 Network-model calibration}
 
-type netmodel = {
-  nm_alpha_s : float;  (** fixed per-message latency (seconds) *)
-  nm_beta_s_per_byte : float;  (** per-byte transfer cost (seconds) *)
-  nm_r2 : float;  (** coefficient of determination of the fit *)
-  nm_samples : int;
+    The alpha-beta postal model [latency = alpha + beta * bytes] fitted
+    from matched message samples.  Samples are bucketed per message
+    size, latency outliers within each bucket are dropped
+    (domain-descheduling stalls on oversubscribed hosts), the line is
+    fitted to the bucket means weighted by kept-sample count, and alpha
+    and beta are constrained nonnegative.  A fit that cannot be
+    identified fails loudly ([Error] with the reason) instead of
+    emitting nonsense coefficients. *)
+
+type bucket = {
+  bk_bytes : int;  (** message size of this bucket *)
+  bk_samples : int;  (** samples observed at this size *)
+  bk_kept : int;  (** samples surviving outlier rejection *)
+  bk_mean_s : float;  (** mean latency of the kept samples *)
 }
-(** Least-squares alpha-beta model [duration = alpha + beta * bytes] over
-    observed message samples — the postal model the ROADMAP's simulated
-    scale-out replays need. *)
 
-val fit_netmodel : msg_sample list -> netmodel option
-(** [None] when there are no samples.  With a single sample or zero
-    byte-size variance the slope is 0 and alpha is the mean duration. *)
+type fit = {
+  f_alpha_s : float;  (** >= 0 *)
+  f_beta_s_per_byte : float;  (** >= 0 *)
+  f_r2 : float;
+      (** coefficient of determination of the constrained line over the
+          weighted bucket means — honest: can be <= 0 when the
+          constraints bind *)
+  f_samples : int;  (** kept samples across all buckets *)
+  f_dropped : int;  (** outliers rejected *)
+  f_buckets : bucket list;  (** ascending by size *)
+}
+
+val fit_alpha_beta : msg_sample list -> (fit, string) result
+(** Bucketed constrained least squares.  Samples whose latency exceeds 4x
+    their bucket's median are dropped; 2 distinct message sizes and 8
+    surviving samples are required to identify the line — otherwise
+    [Error reason]. *)
 
 (** {1 Rendering} *)
 
@@ -121,6 +141,7 @@ val report_json : report -> string
 (** The whole report as a JSON document (machine-readable [--report=json]
     form). *)
 
-val netmodel_json : ?meta:(string * string) list -> netmodel -> string
-(** BENCH_netmodel.json payload; [meta] adds extra string fields (e.g.
-    substrate, workload list). *)
+val fit_json : (fit, string) result -> string
+(** One fit verdict as a JSON object (the [netmodel] member of
+    {!report_json}).  On [Error], alpha/beta/r² are [null] with a
+    ["fit_error"] field naming the reason. *)

@@ -48,13 +48,11 @@ type pass_stat = {
 
 type rewrite_stat = {
   rw_pass : string;
-  rw_driver : string;
   rw_enqueued : int;
   rw_processed : int;
   rw_max_depth : int;
   rw_applied : int;
   rw_erased_dead : int;
-  rw_sweeps : int;
 }
 
 type sink = {
@@ -335,7 +333,7 @@ module Passes = struct
     end
 end
 
-(* --- rewrite-driver counters (worklist/sweep, per pass run) --- *)
+(* --- rewrite-driver counters (per pass run) --- *)
 
 module Rewrites = struct
   let record st =
@@ -352,14 +350,13 @@ module Rewrites = struct
   let pp_table fmt () =
     let sts = stats () in
     if sts <> [] then begin
-      Format.fprintf fmt "// %-32s %-8s %9s %9s %9s %8s %7s %6s@." "rewrite pass"
-        "driver" "enqueued" "processed" "max-depth" "applied" "erased"
-        "sweeps";
+      Format.fprintf fmt "// %-32s %9s %9s %9s %8s %7s@." "rewrite pass"
+        "enqueued" "processed" "max-depth" "applied" "erased";
       List.iter
         (fun st ->
-          Format.fprintf fmt "// %-32s %-8s %9d %9d %9d %8d %7d %6d@."
-            st.rw_pass st.rw_driver st.rw_enqueued st.rw_processed
-            st.rw_max_depth st.rw_applied st.rw_erased_dead st.rw_sweeps)
+          Format.fprintf fmt "// %-32s %9d %9d %9d %8d %7d@." st.rw_pass
+            st.rw_enqueued st.rw_processed st.rw_max_depth st.rw_applied
+            st.rw_erased_dead)
         sts
     end
 end

@@ -61,13 +61,11 @@ type pass_stat = {
 
 type rewrite_stat = {
   rw_pass : string;  (** the rewrite-driver run's pass label *)
-  rw_driver : string;  (** "worklist" or "sweep" *)
-  rw_enqueued : int;  (** worklist pushes (0 under the sweep driver) *)
+  rw_enqueued : int;  (** worklist pushes *)
   rw_processed : int;  (** ops popped / visited *)
   rw_max_depth : int;  (** high-water worklist depth *)
   rw_applied : int;  (** successful pattern applications *)
   rw_erased_dead : int;  (** trivially-dead ops the driver erased itself *)
-  rw_sweeps : int;  (** full-module sweeps (sweep driver only) *)
 }
 
 (** Span tracing: begin/end spans, complete spans with explicit

@@ -1,15 +1,6 @@
-(* The replay engine's cost model and its calibration.
-
-   The alpha-beta fit deliberately does NOT pool every matched message
-   into one ordinary least squares: on an oversubscribed host a message
-   can sit matched-but-unserviced for milliseconds while the receiving
-   domain is descheduled, and those stalls correlate with *small*
-   late-run messages — pooled OLS then slopes downward (a negative
-   per-byte cost) while explaining almost nothing (r² = 0.03 in the
-   shipped BENCH_netmodel.json this replaces).  Bucketing by message
-   size, rejecting per-bucket latency outliers and constraining the line
-   nonnegative yields coefficients that are at least physical; when even
-   that cannot be identified the fit fails loudly. *)
+(* The replay engine's cost model and its calibration.  The alpha-beta
+   fit itself is [Analysis.fit_alpha_beta]; this module installs its
+   coefficients and refines the host rates from traced phase totals. *)
 
 type t = {
   alpha_s : float;
@@ -81,148 +72,11 @@ let of_spec spec =
 
 (* --- calibration --- *)
 
-type bucket = {
-  bk_bytes : int;
-  bk_samples : int;
-  bk_kept : int;
-  bk_mean_s : float;
-}
-
-type fit = {
-  f_alpha_s : float;
-  f_beta_s_per_byte : float;
-  f_r2 : float;
-  f_samples : int;
-  f_dropped : int;
-  f_buckets : bucket list;
-}
-
-let median (xs : float list) =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then 0.
-  else if n mod 2 = 1 then a.(n / 2)
-  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-
-let fit_alpha_beta ?(outlier_k = 4.) ?(min_buckets = 2) ?(min_kept = 8)
-    (samples : Analysis.msg_sample list) : (fit, string) result =
-  let by_size : (int, float list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Analysis.msg_sample) ->
-      let lat = s.Analysis.ms_recv_ts -. s.Analysis.ms_send_ts in
-      if Float.is_finite lat && lat >= 0. then begin
-        match Hashtbl.find_opt by_size s.Analysis.ms_bytes with
-        | Some l -> l := lat :: !l
-        | None -> Hashtbl.add by_size s.Analysis.ms_bytes (ref [ lat ])
-      end)
-    samples;
-  let buckets =
-    Hashtbl.fold
-      (fun bytes lats acc ->
-        let all = !lats in
-        let med = median all in
-        (* Outlier rejection: latencies beyond [outlier_k] times the
-           bucket median are descheduling stalls (time-shared domains),
-           not network behavior. *)
-        let cutoff = outlier_k *. Float.max med 1e-12 in
-        let kept = List.filter (fun l -> l <= cutoff) all in
-        let kept = if kept = [] then all else kept in
-        let mean =
-          List.fold_left ( +. ) 0. kept /. float_of_int (List.length kept)
-        in
-        {
-          bk_bytes = bytes;
-          bk_samples = List.length all;
-          bk_kept = List.length kept;
-          bk_mean_s = mean;
-        }
-        :: acc)
-      by_size []
-    |> List.sort (fun a b -> compare a.bk_bytes b.bk_bytes)
-  in
-  let kept_total = List.fold_left (fun acc b -> acc + b.bk_kept) 0 buckets in
-  let dropped =
-    List.fold_left (fun acc b -> acc + b.bk_samples - b.bk_kept) 0 buckets
-  in
-  if buckets = [] then Error "no matched message samples"
-  else if List.length buckets < min_buckets then
-    Error
-      (Printf.sprintf
-         "only %d distinct message size(s); %d needed to identify alpha and \
-          beta"
-         (List.length buckets) min_buckets)
-  else if kept_total < min_kept then
-    Error
-      (Printf.sprintf "only %d sample(s) after outlier rejection; %d needed"
-         kept_total min_kept)
-  else begin
-    (* Weighted least squares over the bucket means, weight = kept count. *)
-    let sw, swx, swy =
-      List.fold_left
-        (fun (sw, swx, swy) b ->
-          let w = float_of_int b.bk_kept in
-          ( sw +. w,
-            swx +. (w *. float_of_int b.bk_bytes),
-            swy +. (w *. b.bk_mean_s) ))
-        (0., 0., 0.) buckets
-    in
-    let mx = swx /. sw and my = swy /. sw in
-    let sxx, sxy, syy =
-      List.fold_left
-        (fun (sxx, sxy, syy) b ->
-          let w = float_of_int b.bk_kept in
-          let dx = float_of_int b.bk_bytes -. mx in
-          let dy = b.bk_mean_s -. my in
-          (sxx +. (w *. dx *. dx), sxy +. (w *. dx *. dy), syy +. (w *. dy *. dy)))
-        (0., 0., 0.) buckets
-    in
-    let beta = if sxx > 0. then sxy /. sxx else 0. in
-    let alpha = my -. (beta *. mx) in
-    (* Nonnegativity: project onto the constraint set (for a 2-parameter
-       line the active-set solution is one of the two axis fits). *)
-    let alpha, beta =
-      if beta < 0. then (Float.max 0. my, 0.)
-      else if alpha < 0. then begin
-        let sxx0, sxy0 =
-          List.fold_left
-            (fun (sxx0, sxy0) b ->
-              let w = float_of_int b.bk_kept in
-              let x = float_of_int b.bk_bytes in
-              (sxx0 +. (w *. x *. x), sxy0 +. (w *. x *. b.bk_mean_s)))
-            (0., 0.) buckets
-        in
-        (0., if sxx0 > 0. then Float.max 0. (sxy0 /. sxx0) else 0.)
-      end
-      else (alpha, beta)
-    in
-    let ss_res =
-      List.fold_left
-        (fun acc b ->
-          let w = float_of_int b.bk_kept in
-          let e =
-            b.bk_mean_s -. (alpha +. (beta *. float_of_int b.bk_bytes))
-          in
-          acc +. (w *. e *. e))
-        0. buckets
-    in
-    let r2 = if syy > 0. then 1. -. (ss_res /. syy) else 1. in
-    Ok
-      {
-        f_alpha_s = alpha;
-        f_beta_s_per_byte = beta;
-        f_r2 = r2;
-        f_samples = kept_total;
-        f_dropped = dropped;
-        f_buckets = buckets;
-      }
-  end
-
-let of_fit ?(base = default) (f : fit) =
+let of_fit ?(base = default) (f : Analysis.fit) =
   {
     base with
-    alpha_s = f.f_alpha_s;
-    beta_s_per_byte = f.f_beta_s_per_byte;
+    alpha_s = f.Analysis.f_alpha_s;
+    beta_s_per_byte = f.Analysis.f_beta_s_per_byte;
     nm_source = "calibrated";
   }
 
@@ -238,54 +92,3 @@ let calibrate ~compute_cells ~compute_s ~pack_bytes ~pack_s ~unpack_bytes
     unpack_s_per_byte = rate unpack_bytes unpack_s m.unpack_s_per_byte;
     nm_source = "calibrated";
   }
-
-(* --- rendering --- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let fit_json ?(meta = []) (f : (fit, string) result) : string =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n  \"bench\": \"netmodel\",\n";
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "  \"%s\": \"%s\",\n" (json_escape k) (json_escape v)))
-    meta;
-  (match f with
-  | Error reason ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  \"alpha_s\": null,\n  \"beta_s_per_byte\": null,\n\
-           \  \"r2\": null,\n  \"samples\": 0,\n  \"fit_error\": \"%s\"\n"
-           (json_escape reason))
-  | Ok f ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  \"alpha_s\": %.9g,\n  \"beta_s_per_byte\": %.9g,\n\
-           \  \"r2\": %.6f,\n  \"samples\": %d,\n  \"dropped_outliers\": %d,\n"
-           f.f_alpha_s f.f_beta_s_per_byte f.f_r2 f.f_samples f.f_dropped);
-      Buffer.add_string b "  \"buckets\": [";
-      List.iteri
-        (fun i bk ->
-          if i > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"bytes\": %d, \"samples\": %d, \"kept\": %d, \"mean_s\": \
-                %.9g}"
-               bk.bk_bytes bk.bk_samples bk.bk_kept bk.bk_mean_s))
-        f.f_buckets;
-      Buffer.add_string b "]\n");
-  Buffer.add_string b "}\n";
-  Buffer.contents b

@@ -6,18 +6,9 @@
     Models come from three places: {!default} (rough single-host
     constants, used when nothing better is known), {!reference} (frozen
     constants that never change — the machine-independent model the
-    bench regression gate replays under), and {!calibrate} /
-    {!fit_alpha_beta} (fitted from a real traced [mpi_par] run).
-
-    Calibration replaces the earlier single pooled OLS over every
-    matched message (which, fed latencies from oversubscribed runs,
-    produced a negative beta and r² ≈ 0.03): samples are bucketed per
-    message size, latency outliers within each bucket are dropped
-    (domain-descheduling stalls on oversubscribed hosts), the line is
-    fitted to the bucket means weighted by kept-sample count, and alpha
-    and beta are constrained nonnegative.  A fit that cannot be
-    identified fails loudly ({!Error} with the reason) instead of
-    emitting nonsense coefficients. *)
+    bench regression gate replays under), and {!of_fit} / {!calibrate}
+    (the {!Analysis.fit_alpha_beta} verdict and host rates from a real
+    traced [mpi_par] run). *)
 
 type t = {
   alpha_s : float;  (** fixed cost per message (seconds) *)
@@ -43,40 +34,9 @@ val of_spec : string -> t
     (any subset; unset fields keep {!default}).  Raises [Failure] on an
     unknown key or a malformed/negative number. *)
 
-(** {1 Alpha-beta calibration from matched message samples} *)
+(** {1 Calibration} *)
 
-type bucket = {
-  bk_bytes : int;  (** message size of this bucket *)
-  bk_samples : int;  (** samples observed at this size *)
-  bk_kept : int;  (** samples surviving outlier rejection *)
-  bk_mean_s : float;  (** mean latency of the kept samples *)
-}
-
-type fit = {
-  f_alpha_s : float;  (** >= 0 *)
-  f_beta_s_per_byte : float;  (** >= 0 *)
-  f_r2 : float;
-      (** coefficient of determination of the constrained line over the
-          weighted bucket means — honest: can be <= 0 when the
-          constraints bind *)
-  f_samples : int;  (** kept samples across all buckets *)
-  f_dropped : int;  (** outliers rejected *)
-  f_buckets : bucket list;  (** ascending by size *)
-}
-
-val fit_alpha_beta :
-  ?outlier_k:float ->
-  ?min_buckets:int ->
-  ?min_kept:int ->
-  Analysis.msg_sample list ->
-  (fit, string) result
-(** Bucketed constrained least squares.  [outlier_k] (default 4.0) drops
-    samples whose latency exceeds that multiple of their bucket's
-    median; [min_buckets] (default 2) distinct message sizes and
-    [min_kept] (default 8) surviving samples are required to identify
-    the line — otherwise [Error reason]. *)
-
-val of_fit : ?base:t -> fit -> t
+val of_fit : ?base:t -> Analysis.fit -> t
 (** Install a fitted alpha/beta into [base] (default {!default});
     [nm_source] becomes ["calibrated"]. *)
 
@@ -93,8 +53,3 @@ val calibrate :
     [Analysis] per-rank breakdown summed over ranks) and the run's known
     work totals; a rate whose work or time total is nonpositive keeps
     the incoming model's value. *)
-
-val fit_json : ?meta:(string * string) list -> (fit, string) result -> string
-(** The BENCH_netmodel.json document.  On [Error], alpha/beta/r² are
-    emitted as JSON [null] with a ["fit_error"] field naming the reason
-    — a degenerate calibration is visible, not papered over. *)

@@ -52,11 +52,10 @@ let compile ?(executor = Interp.Executor.interpreter)
 
 (* The process-wide artifact cache.  Capacity bounds memory when --serve
    handles many distinct programs; 128 artifacts is far beyond any bench
-   or test working set.  LRU by default; [set_policy] switches to FIFO or
-   cost-weighted eviction (using each entry's recorded compile seconds). *)
-let cache : t Cache.t = Cache.create ~capacity: 128 ~eviction: Cache.Lru "artifact-cache"
+   or test working set; [set_policy] resizes it. *)
+let cache : t Cache.t = Cache.create ~capacity: 128 "artifact-cache"
 
-let set_policy ?capacity ?eviction () = Cache.set_policy ?capacity ?eviction cache
+let set_policy ~capacity = Cache.set_policy ~capacity cache
 
 (* ---------- the on-disk store (optional) ---------- *)
 
@@ -102,8 +101,7 @@ let persist ~(source : Ir.Op.t) (art : t) =
 
 (* Rebuild an artifact from its persisted form: re-parse the lowered
    module and re-run only the executor's [compile] — the pass pipeline is
-   skipped entirely.  [compile_s] becomes the restore cost, which is what
-   the cache's cost-weighted eviction should protect.  Any integrity or
+   skipped entirely.  [compile_s] becomes the restore cost.  Any integrity or
    parse problem returns [None] and the caller falls back to a full
    compile. *)
 let restore_persisted ~(target : Core.Pipeline.target)

@@ -72,8 +72,8 @@ val warm_start : ?limit:int -> unit -> int
     cache (restores, never full compiles); returns how many loaded.
     Entries with unknown targets or executors are skipped. *)
 
-val set_policy : ?capacity:int -> ?eviction:Cache.eviction -> unit -> unit
-(** Reconfigure the process-wide cache (see {!Cache.set_policy}). *)
+val set_policy : capacity:int -> unit
+(** Resize the process-wide cache (see {!Cache.set_policy}). *)
 
 val stats : unit -> Cache.stats
 (** Hit/miss/compile-time counters of the process-wide cache. *)

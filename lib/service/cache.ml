@@ -16,32 +16,12 @@
 
 type 'a entry = Pending | Ready of 'a | Failed of exn
 
-type eviction = Fifo | Lru | Cost_weighted
-
-let eviction_name = function
-  | Fifo -> "fifo"
-  | Lru -> "lru"
-  | Cost_weighted -> "cost"
-
-let eviction_of_string = function
-  | "fifo" -> Some Fifo
-  | "lru" -> Some Lru
-  | "cost" | "cost-weighted" -> Some Cost_weighted
-  | _ -> None
-
-(* Ring node for one completed key.  [cost_s] is the measured compute
-   time, the recompute price the cost-weighted policy protects. *)
-type node = {
-  nkey : string;
-  mutable cost_s : float;
-  mutable prev : node;
-  mutable next : node;
-}
+(* Ring node for one completed key. *)
+type node = { nkey : string; mutable prev : node; mutable next : node }
 
 type 'a t = {
   cache_name : string;
   mutable capacity : int option;
-  mutable eviction : eviction;
   lock : Mutex.t;
   changed : Condition.t;
   table : (string, 'a entry) Hashtbl.t;
@@ -65,12 +45,11 @@ type stats = {
   compute_s : float;
 }
 
-let create ?capacity ?(eviction = Lru) cache_name =
-  let rec ring = { nkey = ""; cost_s = 0.; prev = ring; next = ring } in
+let create ?capacity cache_name =
+  let rec ring = { nkey = ""; prev = ring; next = ring } in
   {
     cache_name;
     capacity;
-    eviction;
     lock = Mutex.create ();
     changed = Condition.create ();
     table = Hashtbl.create 64;
@@ -105,61 +84,26 @@ let push_mru c n =
   c.ring.prev.next <- n;
   c.ring.prev <- n
 
-(* A completed key finished (re)computing: put it at the MRU end. *)
-let record_completed c key cost_s =
+(* A key was used or finished (re)computing: put it at the MRU end. *)
+let touch c key =
   match Hashtbl.find_opt c.nodes key with
   | Some n ->
-      n.cost_s <- cost_s;
       unlink n;
       push_mru c n
   | None ->
-      let rec n = { nkey = key; cost_s; prev = n; next = n } in
+      let rec n = { nkey = key; prev = n; next = n } in
       Hashtbl.replace c.nodes key n;
       push_mru c n;
       c.count <- c.count + 1
 
-(* A hit under Lru/Cost_weighted refreshes recency; Fifo ignores use. *)
-let touch c key =
-  match c.eviction with
-  | Fifo -> ()
-  | Lru | Cost_weighted -> (
-      match Hashtbl.find_opt c.nodes key with
-      | Some n ->
-          unlink n;
-          push_mru c n
-      | None -> ())
-
-(* Cost_weighted samples this many nodes from the LRU end and evicts the
-   cheapest to recompute among them: recency bounds the scan (O(1)), the
-   recorded compute price picks the victim inside the window. *)
-let cost_sample = 8
-
-let victim c =
-  match c.eviction with
-  | Fifo | Lru -> c.ring.next
-  | Cost_weighted ->
-      (* Never pick the MRU node: it is the entry whose insertion (or
-         refresh) triggered this eviction, and sacrificing the newcomer
-         for being cheap would bounce every new key straight out.  Over
-         capacity means count >= 2, so the LRU end is a valid start. *)
-      let newest = c.ring.prev in
-      let rec scan best n i =
-        if i = 0 || n == c.ring then best
-        else
-          scan
-            (if n != newest && n.cost_s < best.cost_s then n else best)
-            n.next (i - 1)
-      in
-      scan c.ring.next c.ring.next.next (cost_sample - 1)
-
-(* Must hold the lock.  Pending entries have no ring node and are never
-   evicted. *)
+(* Must hold the lock.  Evicts from the LRU end; pending entries have no
+   ring node and are never evicted. *)
 let evict_over_capacity c =
   match c.capacity with
   | None -> ()
   | Some cap ->
       while c.count > cap && c.ring.next != c.ring do
-        let v = victim c in
+        let v = c.ring.next in
         unlink v;
         Hashtbl.remove c.nodes v.nkey;
         Hashtbl.remove c.table v.nkey;
@@ -167,12 +111,9 @@ let evict_over_capacity c =
         c.evictions <- c.evictions + 1
       done
 
-let set_policy ?capacity ?eviction c =
+let set_policy ~capacity c =
   locked c (fun () ->
-      (match capacity with
-      | Some cap -> c.capacity <- if cap <= 0 then None else Some cap
-      | None -> ());
-      (match eviction with Some e -> c.eviction <- e | None -> ());
+      c.capacity <- (if capacity <= 0 then None else Some capacity);
       evict_over_capacity c)
 
 let emit_counters c =
@@ -228,7 +169,7 @@ let find_or_compute c ~key compute =
           | Failed _ -> c.failures <- c.failures + 1
           | _ -> ());
           Hashtbl.replace c.table key outcome;
-          record_completed c key dt;
+          touch c key;
           evict_over_capacity c;
           Condition.broadcast c.changed);
       (match outcome with

@@ -5,20 +5,9 @@
     computation is deterministic) and re-raised to every requester.
 
     Completed entries sit on an O(1) recency structure; over-capacity
-    caches evict by policy ({!eviction}) in O(1) per eviction. *)
+    caches evict the least recently used entry in O(1) per eviction. *)
 
 type 'a t
-
-type eviction =
-  | Fifo  (** insertion order; a hit does not refresh an entry *)
-  | Lru  (** least recently used first; hits refresh recency *)
-  | Cost_weighted
-      (** cheapest-to-recompute first among a small window at the LRU
-          end, using each entry's measured compute seconds: recency
-          bounds the scan, recompute price picks the victim *)
-
-val eviction_name : eviction -> string
-val eviction_of_string : string -> eviction option
 
 type stats = {
   hits : int;  (** requests answered from a {!Ready} entry *)
@@ -32,15 +21,15 @@ type stats = {
   compute_s : float;  (** total seconds spent inside computations *)
 }
 
-val create : ?capacity:int -> ?eviction:eviction -> string -> 'a t
+val create : ?capacity:int -> string -> 'a t
 (** A named cache (the name prefixes its Obs counters).  [capacity] bounds
     the number of retained entries (unbounded by default); over capacity,
-    completed entries are evicted by [eviction] (default {!Lru}; in-flight
-    entries are never evicted). *)
+    the least recently used completed entries are evicted (hits refresh
+    recency; in-flight entries are never evicted). *)
 
-val set_policy : ?capacity:int -> ?eviction:eviction -> 'a t -> unit
-(** Change capacity (<= 0 means unbounded) and/or eviction policy of a
-    live cache; evicts immediately if the new capacity is exceeded. *)
+val set_policy : capacity:int -> 'a t -> unit
+(** Change the capacity (<= 0 means unbounded) of a live cache; evicts
+    immediately if the new capacity is exceeded. *)
 
 val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a * [ `Hit | `Miss ]
 (** The cached value for [key], computing it with the thunk on first

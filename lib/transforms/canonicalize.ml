@@ -209,8 +209,8 @@ let patterns =
     select_identity;
   ]
 
-let run ?driver (m : Op.t) : Op.t =
-  Rewriter.run ?driver ~dead: Effects.removable_if_unused
+let run (m : Op.t) : Op.t =
+  Rewriter.run ~dead: Effects.removable_if_unused
     ~name: "canonicalize" patterns m
 
 let pass = Pass.make "canonicalize" (fun m -> run m)

@@ -7,8 +7,5 @@
 val eval_int_binop : string -> int -> int -> int option
 val eval_float_binop : string -> float -> float -> float option
 
-val patterns : Ir.Rewriter.pattern list
-(** The canonicalization pattern set (exposed for driver A/B tests). *)
-
-val run : ?driver:Ir.Rewriter.driver -> Ir.Op.t -> Ir.Op.t
+val run : Ir.Op.t -> Ir.Op.t
 val pass : Ir.Pass.t

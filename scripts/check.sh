@@ -126,7 +126,8 @@ ls "$sockdir/store"/*.art > /dev/null 2>&1 || {
 rm -rf "$sockdir"
 
 # Timeline-analytics smoke: --report must print the per-rank breakdown,
-# the comm matrix, a critical path and an overlap figure.
+# the comm matrix, a critical path, an overlap figure and the alpha-beta
+# fit verdict.
 report="$(dune exec bin/stencilc.exe -- --demo heat2d --run-sim 4 --report)"
 for section in "phase breakdown" "comm matrix" "critical path" "overlap:" \
   "network model"; do
@@ -153,12 +154,14 @@ dune exec bench/main.exe -- par --smoke --out-dir "$tmpdir" > /dev/null
 dune exec bench/main.exe -- exec --smoke --out-dir "$tmpdir" > /dev/null
 dune exec bench/main.exe -- compile --smoke --out-dir "$tmpdir" > /dev/null
 dune exec bench/main.exe -- scale --smoke --out-dir "$tmpdir" > /dev/null
-test -f "$tmpdir/BENCH_netmodel.json" || {
-  echo "check.sh: bench par did not emit BENCH_netmodel.json" >&2
-  exit 1
-}
 test -f "$tmpdir/BENCH_scaling.json" || {
   echo "check.sh: bench scale did not emit BENCH_scaling.json" >&2
+  exit 1
+}
+# bench scale is the one alpha-beta calibration: its record must carry
+# the fit verdict.
+grep -q '"netmodel": {[^}]*"fit_ok":' "$tmpdir/BENCH_scaling.json" || {
+  echo "check.sh: BENCH_scaling.json has no netmodel record with fit_ok" >&2
   exit 1
 }
 dune exec bench/main.exe -- regress --current "$tmpdir"

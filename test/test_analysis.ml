@@ -185,8 +185,19 @@ let test_heat_golden_report () =
   (match a.Analysis.r_overlap.Analysis.ov_efficiency with
   | None -> Alcotest.fail "expected an overlap-efficiency figure"
   | Some e -> check bool_c "efficiency in [0,1]" true (e >= 0. && e <= 1.));
-  check bool_c "netmodel fits" true
-    (Analysis.fit_netmodel a.Analysis.r_samples <> None)
+  (* The report's netmodel verdict is the constrained fit's verdict on
+     the same samples, in both renderings. *)
+  let fit = Analysis.fit_alpha_beta a.Analysis.r_samples in
+  Support.assert_contains ~what: "report json netmodel"
+    (Analysis.report_json a)
+    ("\"netmodel\": " ^ Analysis.fit_json fit);
+  Support.assert_contains ~what: "report text netmodel"
+    (Format.asprintf "%a" Analysis.pp_report a)
+    (match fit with
+    | Error reason -> "network model: not identified: " ^ reason
+    | Ok f ->
+        Printf.sprintf "network model fit: alpha=%.3e s, beta=%.3e s/byte"
+          f.Analysis.f_alpha_s f.Analysis.f_beta_s_per_byte)
 
 let test_report_renders () =
   let _, a = heat_report () in
@@ -212,46 +223,6 @@ let test_report_renders () =
   match jmember "netmodel" json with
   | Some (Test_obs.Jobj _) -> ()
   | _ -> Alcotest.fail "report json: no netmodel object"
-
-(* --- alpha-beta fit --- *)
-
-let sample ~bytes ~dur =
-  {
-    Analysis.ms_src = 0;
-    ms_dst = 1;
-    ms_tag = 0;
-    ms_bytes = bytes;
-    ms_send_ts = 0.;
-    ms_recv_ts = dur;
-  }
-
-let test_netmodel_recovers_line () =
-  let alpha = 2e-4 and beta = 3e-8 in
-  let samples =
-    List.map
-      (fun bytes ->
-        sample ~bytes ~dur: (alpha +. (beta *. float_of_int bytes)))
-      [ 64; 256; 1024; 4096; 16384 ]
-  in
-  match Analysis.fit_netmodel samples with
-  | None -> Alcotest.fail "expected a fit"
-  | Some nm ->
-      check (Alcotest.float 1e-9) "alpha" alpha nm.Analysis.nm_alpha_s;
-      check (Alcotest.float 1e-12) "beta" beta nm.Analysis.nm_beta_s_per_byte;
-      check bool_c "r2 ~ 1" true (nm.Analysis.nm_r2 > 0.999999);
-      check int_c "samples" 5 nm.Analysis.nm_samples
-
-let test_netmodel_degenerate () =
-  check bool_c "no samples -> no fit" true (Analysis.fit_netmodel [] = None);
-  (* Zero byte variance: slope 0, alpha = mean duration. *)
-  match
-    Analysis.fit_netmodel
-      [ sample ~bytes: 128 ~dur: 1e-4; sample ~bytes: 128 ~dur: 3e-4 ]
-  with
-  | None -> Alcotest.fail "expected a fit"
-  | Some nm ->
-      check (Alcotest.float 1e-12) "beta 0" 0. nm.Analysis.nm_beta_s_per_byte;
-      check (Alcotest.float 1e-9) "alpha mean" 2e-4 nm.Analysis.nm_alpha_s
 
 (* --- bounded Obs event buffer --- *)
 
@@ -307,10 +278,6 @@ let suite =
       test_heat_golden_report;
     Alcotest.test_case "report renders (text and json)" `Quick
       test_report_renders;
-    Alcotest.test_case "netmodel recovers a known line" `Quick
-      test_netmodel_recovers_line;
-    Alcotest.test_case "netmodel degenerate inputs" `Quick
-      test_netmodel_degenerate;
     Alcotest.test_case "obs event buffer cap (keep-first)" `Quick
       test_obs_event_cap;
     Alcotest.test_case "obs unbounded buffer has no dropped metadata" `Quick

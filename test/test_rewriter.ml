@@ -1,6 +1,7 @@
 (* The shared rewrite core: workspace mutation API, worklist re-enqueue
    cascades, the CSE attr-order fix, non-convergence reporting, and
-   sweep/worklist semantic equivalence (deterministic and qcheck). *)
+   semantic preservation of the rewrite passes against the interpreter
+   (deterministic and qcheck). *)
 
 open Ir
 module W = Rewriter.Workspace
@@ -123,9 +124,8 @@ let test_worklist_cascade () =
   let u = Op.make "test.use" ~operands: [ r3 ] in
   let m = Op.module_op [ c0; i1; i2; i3; u ] in
   let m' =
-    Rewriter.run ~driver: Rewriter.Worklist
-      ~dead: Transforms.Effects.removable_if_unused ~name: "test-cascade"
-      [ inc_pattern ] m
+    Rewriter.run ~dead: Transforms.Effects.removable_if_unused
+      ~name: "test-cascade" [ inc_pattern ] m
   in
   check Alcotest.int "one constant left" 1
     (Transforms.Statistics.count m' Dialects.Arith.constant);
@@ -142,7 +142,6 @@ let test_worklist_cascade () =
       (fun (s : Obs.rewrite_stat) -> s.Obs.rw_pass = "test-cascade")
       (Obs.Rewrites.stats ())
   in
-  check Alcotest.string "driver recorded" "worklist" st.Obs.rw_driver;
   check Alcotest.int "three applications" 3 st.Obs.rw_applied;
   check Alcotest.int "three stranded constants erased" 3 st.Obs.rw_erased_dead;
   check Alcotest.bool "enqueued counted" true (st.Obs.rw_enqueued > 0);
@@ -193,17 +192,14 @@ let flip_pattern =
 let test_non_convergence_warning () =
   Obs.enable ();
   let m = Op.module_op [ Op.make "test.flip" ] in
-  List.iter
-    (fun driver ->
-      ignore (Rewriter.run ~driver ~name: "test-flip" [ flip_pattern ] m))
-    [ Rewriter.Worklist; Rewriter.Sweep ];
+  ignore (Rewriter.run ~name: "test-flip" [ flip_pattern ] m);
   let instants =
     List.filter
       (fun (e : Obs.event) ->
         e.Obs.name = "rewrite-non-convergence" && e.Obs.ph = Obs.Instant)
       (Obs.Trace.events ())
   in
-  check Alcotest.int "both drivers reported non-convergence" 2
+  check Alcotest.int "non-convergence reported once" 1
     (List.length instants);
   List.iter
     (fun (e : Obs.event) ->
@@ -212,35 +208,32 @@ let test_non_convergence_warning () =
     instants;
   Obs.disable ()
 
-(* --- sweep/worklist equivalence: deterministic pipeline --- *)
+(* --- compiled pipeline against the interpreted source --- *)
 
 let rebase (b : Interp.Rtval.buffer) =
   { b with Interp.Rtval.lo = List.map (fun _ -> 0) b.Interp.Rtval.lo }
 
-let test_pipeline_drivers_agree () =
+let test_pipeline_matches_interpreter () =
   let m = Programs.heat2d_timeloop_module ~nx: 8 ~ny: 8 ~steps: 3 in
   let init i j = Float.sin (float_of_int ((2 * i) + j)) in
-  let run_with driver =
-    Rewriter.set_default_driver driver;
-    Fun.protect
-      ~finally: (fun () -> Rewriter.set_default_driver Rewriter.Worklist)
-      (fun () ->
-        let compiled = Core.Pipeline.compile Core.Pipeline.Cpu_sequential m in
-        let a = rebase (Programs.make_field_2d ~nx: 8 ~ny: 8 init) in
-        let b = rebase (Programs.make_field_2d ~nx: 8 ~ny: 8 init) in
-        ignore
-          (Driver.Simulate.run_serial ~func: "run" compiled
-             [ Interp.Rtval.Rbuf a; Interp.Rtval.Rbuf b ]);
-        (a, b))
+  let run prog prep =
+    let a = prep (Programs.make_field_2d ~nx: 8 ~ny: 8 init) in
+    let b = prep (Programs.make_field_2d ~nx: 8 ~ny: 8 init) in
+    ignore
+      (Driver.Simulate.run_serial ~func: "run" prog
+         [ Interp.Rtval.Rbuf a; Interp.Rtval.Rbuf b ]);
+    (a, b)
   in
-  let a1, b1 = run_with Rewriter.Sweep in
-  let a2, b2 = run_with Rewriter.Worklist in
-  check float_c "drivers compile to the same program" 0.
+  let a1, b1 = run m Fun.id in
+  let a2, b2 =
+    run (Core.Pipeline.compile Core.Pipeline.Cpu_sequential m) rebase
+  in
+  check float_c "compiled program matches the interpreted source" 0.
     (Float.max
        (Driver.Simulate.max_abs_diff a1 a2)
        (Driver.Simulate.max_abs_diff b1 b2))
 
-(* --- sweep/worklist equivalence: random arith/scf programs --- *)
+(* --- rewrite passes preserve semantics: random arith/scf programs --- *)
 
 let pick xs k = List.nth xs (abs k mod List.length xs)
 
@@ -321,22 +314,17 @@ let run_main m =
   | [ Interp.Rtval.Rf x ] -> x
   | _ -> Alcotest.fail "main must return one f64"
 
-let drivers_prop =
-  QCheck.Test.make ~count: 60
-    ~name: "worklist and sweep rewrites preserve semantics"
+let rewrites_prop =
+  QCheck.Test.make ~count: 60 ~name: "worklist rewrites preserve semantics"
     (QCheck.make gen_program ~print: (fun spec ->
          Printer.module_to_string (build_program spec)))
     (fun spec ->
       let m = build_program spec in
-      let reference = run_main m in
-      List.for_all
-        (fun driver ->
-          let m' =
-            Transforms.Dce.run
-              (Transforms.Cse.run (Transforms.Canonicalize.run ~driver m))
-          in
-          Float.equal reference (run_main m'))
-        [ Rewriter.Sweep; Rewriter.Worklist ])
+      let m' =
+        Transforms.Dce.run
+          (Transforms.Cse.run (Transforms.Canonicalize.run m))
+      in
+      Float.equal (run_main m) (run_main m'))
 
 let suite =
   [
@@ -349,7 +337,7 @@ let suite =
     Alcotest.test_case "cse ignores attr order" `Quick test_cse_attr_order;
     Alcotest.test_case "non-convergence is reported" `Quick
       test_non_convergence_warning;
-    Alcotest.test_case "pipeline agrees across drivers" `Quick
-      test_pipeline_drivers_agree;
-    QCheck_alcotest.to_alcotest drivers_prop;
+    Alcotest.test_case "pipeline matches the interpreter" `Quick
+      test_pipeline_matches_interpreter;
+    QCheck_alcotest.to_alcotest rewrites_prop;
   ]

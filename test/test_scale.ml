@@ -229,16 +229,16 @@ let test_fit_recovers_known_model () =
   let samples =
     synth ~alpha ~beta ~sizes: [ 64; 256; 1024; 4096 ] ~per_size: 5
   in
-  match Scale.Netmodel.fit_alpha_beta samples with
+  match Analysis.fit_alpha_beta samples with
   | Error e -> Alcotest.failf "fit failed: %s" e
   | Ok f ->
-      if Float.abs (f.Scale.Netmodel.f_alpha_s -. alpha) > 1e-8 then
-        Alcotest.failf "alpha %.3e <> %.3e" f.Scale.Netmodel.f_alpha_s alpha;
-      if Float.abs (f.Scale.Netmodel.f_beta_s_per_byte -. beta) > 1e-12 then
-        Alcotest.failf "beta %.3e <> %.3e" f.Scale.Netmodel.f_beta_s_per_byte
+      if Float.abs (f.Analysis.f_alpha_s -. alpha) > 1e-8 then
+        Alcotest.failf "alpha %.3e <> %.3e" f.Analysis.f_alpha_s alpha;
+      if Float.abs (f.Analysis.f_beta_s_per_byte -. beta) > 1e-12 then
+        Alcotest.failf "beta %.3e <> %.3e" f.Analysis.f_beta_s_per_byte
           beta;
-      check bool_c "r2 ~ 1" true (f.Scale.Netmodel.f_r2 > 0.999);
-      check int_c "no outliers on clean data" 0 f.Scale.Netmodel.f_dropped
+      check bool_c "r2 ~ 1" true (f.Analysis.f_r2 > 0.999);
+      check int_c "no outliers on clean data" 0 f.Analysis.f_dropped
 
 (* Pooled OLS over these samples yields a negative slope (the big
    messages are fast, the small ones carry stall outliers) — the bug the
@@ -249,30 +249,30 @@ let test_fit_constrained_nonnegative_with_outliers () =
     synth ~alpha: 2e-6 ~beta: 1e-9 ~sizes: [ 64; 512; 2048 ] ~per_size: 6
   in
   let stalls = List.init 4 (fun i -> sample ~bytes: 64 ~lat: 5e-3 i) in
-  match Scale.Netmodel.fit_alpha_beta (clean @ stalls) with
+  match Analysis.fit_alpha_beta (clean @ stalls) with
   | Error e -> Alcotest.failf "fit failed: %s" e
   | Ok f ->
-      check bool_c "alpha >= 0" true (f.Scale.Netmodel.f_alpha_s >= 0.);
-      check bool_c "beta >= 0" true (f.Scale.Netmodel.f_beta_s_per_byte >= 0.);
-      check int_c "stalls rejected" 4 f.Scale.Netmodel.f_dropped;
+      check bool_c "alpha >= 0" true (f.Analysis.f_alpha_s >= 0.);
+      check bool_c "beta >= 0" true (f.Analysis.f_beta_s_per_byte >= 0.);
+      check int_c "stalls rejected" 4 f.Analysis.f_dropped;
       (* With the stalls gone the clean line is recovered. *)
-      if Float.abs (f.Scale.Netmodel.f_beta_s_per_byte -. 1e-9) > 1e-12 then
+      if Float.abs (f.Analysis.f_beta_s_per_byte -. 1e-9) > 1e-12 then
         Alcotest.failf "beta %.3e after outlier rejection"
-          f.Scale.Netmodel.f_beta_s_per_byte
+          f.Analysis.f_beta_s_per_byte
 
 let test_fit_degenerate_cases () =
-  (match Scale.Netmodel.fit_alpha_beta [] with
+  (match Analysis.fit_alpha_beta [] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty sample list must not fit");
   (* One message size cannot identify alpha and beta separately. *)
   (match
-     Scale.Netmodel.fit_alpha_beta
+     Analysis.fit_alpha_beta
        (synth ~alpha: 1e-6 ~beta: 1e-9 ~sizes: [ 256 ] ~per_size: 20)
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "single-size samples must not fit");
   (* And the json for a failed fit carries nulls, not nonsense. *)
-  let j = Scale.Netmodel.fit_json (Error "no matched message samples") in
+  let j = Analysis.fit_json (Error "no matched message samples") in
   Support.assert_contains ~what: "degenerate fit json" j "\"alpha_s\": null";
   Support.assert_contains ~what: "degenerate fit json" j "\"fit_error\""
 

@@ -1,7 +1,7 @@
 (* Tests for the compile-service layer: canonical digests (stable across
    print/parse round-trips and SSA renumbering, insensitive to attribute
-   order), the Domains-safe promise-per-key cache (including eviction
-   policies and failed-hit accounting), single-compilation through the
+   order), the Domains-safe promise-per-key cache (including LRU
+   eviction and failed-hit accounting), single-compilation through the
    artifact layer, the --serve line protocol (including the
    payload-drain framing rule), the multi-client socket daemon, and the
    on-disk artifact store's restart-persistence path. *)
@@ -171,7 +171,7 @@ let test_cache_failure_cached () =
   check int_c "no healthy hits" 0 s.Service.Cache.hits;
   check int_c "one miss" 1 s.Service.Cache.misses
 
-(* --- eviction policies --- *)
+(* --- LRU eviction --- *)
 
 let fill c keys =
   List.iter
@@ -188,49 +188,19 @@ let recomputes c key =
          key));
   !ran
 
-let test_eviction_fifo () =
-  let c =
-    Service.Cache.create ~capacity: 2 ~eviction: Service.Cache.Fifo "ev-fifo"
-  in
-  fill c [ "a"; "b" ];
-  (* Touch "a": FIFO ignores use, so "a" is still the oldest. *)
-  ignore (Service.Cache.find_or_compute c ~key: "a" (fun () -> "a"));
-  fill c [ "c" ];
-  check int_c "capacity held" 2 (Service.Cache.length c);
-  check int_c "evictions counted" 1 (Service.Cache.stats c).Service.Cache.evictions;
-  check bool_c "fifo evicts the oldest insertion (a)" true (recomputes c "a")
-
 let test_eviction_lru () =
-  let c =
-    Service.Cache.create ~capacity: 2 ~eviction: Service.Cache.Lru "ev-lru"
-  in
+  let c = Service.Cache.create ~capacity: 2 "ev-lru" in
   fill c [ "a"; "b" ];
   (* Touch "a": LRU refreshes it, so "b" becomes the victim. *)
   ignore (Service.Cache.find_or_compute c ~key: "a" (fun () -> "a"));
   fill c [ "c" ];
   check int_c "capacity held" 2 (Service.Cache.length c);
+  check int_c "evictions counted" 1 (Service.Cache.stats c).Service.Cache.evictions;
   check bool_c "lru keeps the recently used (a)" false (recomputes c "a");
   check bool_c "lru evicted the stale entry (b)" true (recomputes c "b")
 
-let test_eviction_cost_weighted () =
-  let c =
-    Service.Cache.create ~capacity: 2 ~eviction: Service.Cache.Cost_weighted
-      "ev-cost"
-  in
-  (* "slow" is expensive to recompute, "fast" is nearly free: over
-     capacity, the cost policy sacrifices "fast". *)
-  ignore
-    (Service.Cache.find_or_compute c ~key: "slow" (fun () ->
-         Unix.sleepf 0.05;
-         "slow"));
-  ignore (Service.Cache.find_or_compute c ~key: "fast" (fun () -> "fast"));
-  fill c [ "c" ];
-  check int_c "capacity held" 2 (Service.Cache.length c);
-  check bool_c "expensive entry survives" false (recomputes c "slow");
-  check bool_c "cheap entry evicted" true (recomputes c "fast")
-
 let test_set_policy_shrinks () =
-  let c = Service.Cache.create ~eviction: Service.Cache.Lru "ev-shrink" in
+  let c = Service.Cache.create "ev-shrink" in
   fill c [ "a"; "b"; "c"; "d" ];
   check int_c "unbounded holds all" 4 (Service.Cache.length c);
   Service.Cache.set_policy ~capacity: 2 c;
@@ -698,6 +668,50 @@ let test_fingerprint_roundtrip () =
   check bool_c "garbage does not parse" true
     (Core.Pipeline.target_of_fingerprint "quantum[qubits=8]" = None)
 
+(* --- SSA ids under concurrent parse + compile ---
+
+   The daemon's connection domains parse [ir=] payloads while its batch
+   worker runs the pass pipeline, and both draw SSA ids from one
+   process-wide counter.  Two domains parse a printed heat2d module and
+   compile it while a third builds fresh Devito programs and compiles
+   them: every compile must succeed and print to the sequential
+   compile's canonical text. *)
+let test_concurrent_ssa_ids () =
+  let target = dist_target ~ranks: 2 in
+  let digest m =
+    Digest.string
+      (Printer.canonical_module_string (Core.Pipeline.compile target m))
+  in
+  let text = Printer.module_to_string (heat_module ()) in
+  let expected = digest (heat_module ()) in
+  check bool_c "parsed module compiles to the same digest" true
+    (digest (Parser.parse_string text) = expected);
+  let deadline = Unix.gettimeofday () +. 4. in
+  let worker build () =
+    let runs = ref 0 and failures = ref [] in
+    while !runs < 20 || Unix.gettimeofday () < deadline do
+      incr runs;
+      match digest (build ()) with
+      | d -> if d <> expected then failures := "digest mismatch" :: !failures
+      | exception e -> failures := Printexc.to_string e :: !failures
+    done;
+    (!runs, !failures)
+  in
+  let results =
+    List.map Domain.join
+      [
+        Domain.spawn (worker (fun () -> Parser.parse_string text));
+        Domain.spawn (worker (fun () -> Parser.parse_string text));
+        Domain.spawn (worker (fun () -> heat_module ()));
+      ]
+  in
+  let runs = List.fold_left (fun acc (n, _) -> acc + n) 0 results in
+  match List.concat_map snd results with
+  | [] -> ()
+  | first :: _ as failures ->
+      Alcotest.failf "%d of %d concurrent compiles failed; first: %s"
+        (List.length failures) runs first
+
 let suite =
   [
     QCheck_alcotest.to_alcotest roundtrip_digest_prop;
@@ -714,15 +728,18 @@ let suite =
     Alcotest.test_case "harness 4 ranks: exactly one closure compile" `Quick
       test_single_compilation_4_ranks;
     Alcotest.test_case "artifact cache counters" `Quick test_artifact_counters;
-    Alcotest.test_case "cache: fifo eviction" `Quick test_eviction_fifo;
     Alcotest.test_case "cache: lru eviction" `Quick test_eviction_lru;
-    Alcotest.test_case "cache: cost-weighted eviction" `Quick
-      test_eviction_cost_weighted;
     Alcotest.test_case "cache: set_policy shrinks immediately" `Quick
       test_set_policy_shrinks;
     Alcotest.test_case "--serve line protocol" `Quick test_serve_protocol;
     Alcotest.test_case "--serve: malformed ir= does not desync" `Quick
       test_serve_desync_regression;
+    (* Alcotest addresses cases by index ([test service 14]); these two
+       keep the socket daemon case at index 14. *)
+    Alcotest.test_case "target fingerprint roundtrip" `Quick
+      test_fingerprint_roundtrip;
+    Alcotest.test_case "concurrent parse and compile keep SSA ids unique"
+      `Quick test_concurrent_ssa_ids;
     Alcotest.test_case "socket daemon: 4 concurrent clients, one compile per digest"
       `Quick test_socket_concurrent_clients;
     Alcotest.test_case "store: restart persistence" `Quick
@@ -731,6 +748,4 @@ let suite =
       test_store_corruption_falls_back;
     Alcotest.test_case "store: size cap evicts oldest" `Quick
       test_store_size_cap_evicts_oldest;
-    Alcotest.test_case "target fingerprint roundtrip" `Quick
-      test_fingerprint_roundtrip;
   ]
