@@ -1,25 +1,10 @@
-(* Performance-regression gate: compare freshly produced BENCH_par.json /
-   BENCH_exec.json against checked-in baselines and fail loudly on
+(* Performance-regression gate: compare freshly produced BENCH_compile.json
+   / BENCH_scaling.json against checked-in baselines and fail loudly on
    slowdowns beyond a tolerance band.
 
    Absolute wall times are machine speed; comparing them across hosts is
    meaningless.  The gate therefore checks machine-speed-independent
    quantities only:
-     - par rows: the distributed/serial wall-time ratios (par_s/serial_s
-       and sim_s/serial_s) may not grow by more than [tolerance] (default
-       25%), and the deterministic traffic fields (messages, bytes) and
-       correctness diffs must match the baseline exactly;
-     - par matrix rows (the tile x threads sweep): traffic counters must
-       match the baseline exactly AND be exactly invariant across tile
-       variants at the same (workload, ranks, threads) — tiling only
-       reorders the interior loop nest; result diffs vs serial must be 0;
-       and the threaded speedup_vs_1thread may not fall under the 1.0x
-       floor (gated only when the 1-thread wall clears the noise floor —
-       oversubscribed cells carry a null speedup and are skipped);
-     - exec rows: the compiled-vs-interpreter speedup may not drop by
-       more than [tolerance] (skipped when either run was oversubscribed
-       — domains time-sliced on too few cores are scheduler noise), and
-       max_abs_diff must stay 0;
      - compile rows: the artifact cache's warm_speedup (cold compile /
        warm hit) may not drop by more than [tolerance] and must stay
        above an absolute 10x floor; cache counters must reconcile.
@@ -203,56 +188,9 @@ let entries_by_key ~key json =
     (fun e -> match key e with Some k -> Some (k, e) | None -> None)
     (jarr (member "entries" json))
 
-let par_key e =
-  match (jstr (member "workload" e), jnum (member "ranks" e)) with
-  | Some w, Some r ->
-      let ov =
-        match jbool (member "overlap" e) with
-        | Some true -> "on"
-        | Some false -> "off"
-        | None -> "?"
-      in
-      Some (Printf.sprintf "%s/ranks=%d/overlap=%s" w (int_of_float r) ov)
-  | _ -> None
-
-(* Keyed rows of BENCH_par's "matrix" array (the tile x threads sweep). *)
-let matrix_key e =
-  match
-    ( jstr (member "workload" e),
-      jnum (member "ranks" e),
-      jnum (member "threads" e),
-      jstr (member "tile" e) )
-  with
-  | Some w, Some r, Some t, Some tile ->
-      Some
-        (Printf.sprintf "%s/ranks=%d/threads=%d/tile=%s" w (int_of_float r)
-           (int_of_float t) tile)
-  | _ -> None
-
-let matrix_rows json =
-  List.filter_map
-    (fun e -> match matrix_key e with Some k -> Some (k, e) | None -> None)
-    (jarr (member "matrix" json))
-
-let exec_key e =
-  match (jstr (member "workload" e), jstr (member "mode" e)) with
-  | Some w, Some m -> Some (w ^ "/" ^ m)
-  | _ -> None
-
 (* A wall-time this short is dominated by scheduler noise: timing ratios
    from runs under it are reported, never gated. *)
 let timing_noise_floor_s = 0.02
-
-let check_ratio out ~key ~what ~tolerance ~base ~cur =
-  match (base, cur) with
-  | Some b, Some c when b > 0. ->
-      out.checked <- out.checked + 1;
-      if c > b *. (1. +. tolerance) then
-        fail_row out "%s: %s regressed %.3f -> %.3f (+%.0f%%, tolerance %.0f%%)"
-          key what b c
-          (100. *. ((c /. b) -. 1.))
-          (100. *. tolerance)
-  | _ -> ()
 
 let check_exact_num out ~key ~what ~base ~cur =
   match (base, cur) with
@@ -269,181 +207,6 @@ let check_zero out ~key ~what v =
       out.checked <- out.checked + 1;
       if d <> 0. then fail_row out "%s: %s is %g (expected 0)" key what d
   | None -> ()
-
-let ratio a b =
-  match (a, b) with
-  | Some x, Some y when y > 0. -> Some (x /. y)
-  | _ -> None
-
-let compare_par out ~tolerance ~baseline ~current =
-  let base_rows = entries_by_key ~key: par_key baseline in
-  let cur_rows = entries_by_key ~key: par_key current in
-  List.iter
-    (fun (key, b) ->
-      match List.assoc_opt key cur_rows with
-      | None -> fail_row out "%s: row missing from current BENCH_par" key
-      | Some c ->
-          let num fld e = jnum (member fld e) in
-          let above_floor =
-            match num "serial_s" b with
-            | Some s -> s >= timing_noise_floor_s
-            | None -> false
-          in
-          if above_floor then begin
-            check_ratio out ~key ~what: "par_s/serial_s" ~tolerance
-              ~base: (ratio (num "par_s" b) (num "serial_s" b))
-              ~cur: (ratio (num "par_s" c) (num "serial_s" c));
-            check_ratio out ~key ~what: "sim_s/serial_s" ~tolerance
-              ~base: (ratio (num "sim_s" b) (num "serial_s" b))
-              ~cur: (ratio (num "sim_s" c) (num "serial_s" c))
-          end
-          else
-            Printf.printf
-              "   note: %s: baseline serial %.4fs under the %.0fms noise \
-               floor, timing ratios not gated\n"
-              key
-              (Option.value (num "serial_s" b) ~default: 0.)
-              (timing_noise_floor_s *. 1e3);
-          check_exact_num out ~key ~what: "messages" ~base: (num "messages" b)
-            ~cur: (num "messages" c);
-          check_exact_num out ~key ~what: "bytes" ~base: (num "bytes" b)
-            ~cur: (num "bytes" c);
-          check_zero out ~key ~what: "max_abs_diff_par_vs_sim"
-            (num "max_abs_diff_par_vs_sim" c);
-          check_zero out ~key ~what: "max_abs_diff_par_vs_serial"
-            (num "max_abs_diff_par_vs_serial" c))
-    base_rows;
-  List.iter
-    (fun (key, _) ->
-      if List.assoc_opt key base_rows = None then
-        Printf.printf "   note: %s is new (no baseline)\n" key)
-    cur_rows;
-  (* --- tile x threads matrix --- *)
-  let base_mx = matrix_rows baseline in
-  let cur_mx = matrix_rows current in
-  List.iter
-    (fun (key, b) ->
-      let num fld e = jnum (member fld e) in
-      match List.assoc_opt key cur_mx with
-      | None ->
-          fail_row out "%s: matrix row missing from current BENCH_par" key
-      | Some c ->
-          check_exact_num out ~key ~what: "messages"
-            ~base: (num "messages" b) ~cur: (num "messages" c);
-          check_exact_num out ~key ~what: "bytes" ~base: (num "bytes" b)
-            ~cur: (num "bytes" c))
-    base_mx;
-  (* current-run self-checks: correctness, tiling traffic invariance and
-     the threaded-speedup floor hold wherever the bench ran *)
-  List.iter
-    (fun (key, c) ->
-      if List.assoc_opt key base_mx = None then
-        Printf.printf "   note: %s is new (no baseline)\n" key;
-      check_zero out ~key ~what: "max_abs_diff_par_vs_serial"
-        (jnum (member "max_abs_diff_par_vs_serial" c)))
-    cur_mx;
-  List.iter
-    (fun (key, c) ->
-      List.iter
-        (fun (key', c') ->
-          if
-            key < key'
-            && jstr (member "workload" c) = jstr (member "workload" c')
-            && jnum (member "ranks" c) = jnum (member "ranks" c')
-            && jnum (member "threads" c) = jnum (member "threads" c')
-          then begin
-            out.checked <- out.checked + 1;
-            if
-              jnum (member "messages" c) <> jnum (member "messages" c')
-              || jnum (member "bytes" c) <> jnum (member "bytes" c')
-            then
-              fail_row out
-                "%s vs %s: tiling changed the traffic counters (must be \
-                 exactly invariant)"
-                key key'
-          end)
-        cur_mx)
-    cur_mx;
-  List.iter
-    (fun (key, c) ->
-      match jnum (member "speedup_vs_1thread" c) with
-      | None -> ()  (* 1-thread baseline cell, or oversubscribed: null *)
-      | Some s ->
-          let one_thread_wall =
-            List.find_map
-              (fun (_, c') ->
-                if
-                  jstr (member "workload" c') = jstr (member "workload" c)
-                  && jnum (member "ranks" c') = jnum (member "ranks" c)
-                  && jstr (member "tile" c') = jstr (member "tile" c)
-                  && jnum (member "threads" c') = Some 1.
-                then jnum (member "par_s" c')
-                else None)
-              cur_mx
-          in
-          let above_floor =
-            match one_thread_wall with
-            | Some p -> p >= timing_noise_floor_s
-            | None -> false
-          in
-          if above_floor then begin
-            out.checked <- out.checked + 1;
-            if s < 1. /. (1. +. tolerance) then
-              fail_row out
-                "%s: threaded speedup %.2fx is under the 1.0x floor \
-                 (tolerance %.0f%%)"
-                key s (100. *. tolerance)
-          end
-          else
-            Printf.printf
-              "   note: %s: 1-thread par wall under the %.0fms noise floor, \
-               threaded speedup not gated\n"
-              key
-              (timing_noise_floor_s *. 1e3))
-    cur_mx
-
-let compare_exec out ~tolerance ~baseline ~current =
-  let base_rows = entries_by_key ~key: exec_key baseline in
-  let cur_rows = entries_by_key ~key: exec_key current in
-  List.iter
-    (fun (key, b) ->
-      match List.assoc_opt key cur_rows with
-      | None -> fail_row out "%s: row missing from current BENCH_exec" key
-      | Some c ->
-          let above_floor =
-            (* speedup = interp/compiled: when the compiled run is down at
-               the noise floor the ratio swings wildly, so don't gate it *)
-            match jnum (member "compiled_s" b) with
-            | Some s -> s >= timing_noise_floor_s /. 2.
-            | None -> false
-          in
-          let oversub r = jbool (member "oversubscribed" r) = Some true in
-          (* Domains time-sliced on too few cores make both walls scheduler
-             noise (same policy as the par gate), in either run. *)
-          if oversub b || oversub c then
-            Printf.printf
-              "   note: %s: ranks exceed host cores, timing ratios not gated\n"
-              key;
-          (match (jnum (member "speedup" b), jnum (member "speedup" c)) with
-          | Some sb, Some sc
-            when sb > 1. && above_floor && (not (oversub b))
-                 && not (oversub c) ->
-              out.checked <- out.checked + 1;
-              if sc < sb /. (1. +. tolerance) then
-                fail_row out
-                  "%s: compiled speedup regressed %.2fx -> %.2fx (-%.0f%%, \
-                   tolerance %.0f%%)"
-                  key sb sc
-                  (100. *. (1. -. (sc /. sb)))
-                  (100. *. tolerance)
-          | _ -> ());
-          check_zero out ~key ~what: "max_abs_diff" (jnum (member "max_abs_diff" c)))
-    base_rows;
-  List.iter
-    (fun (key, _) ->
-      if List.assoc_opt key base_rows = None then
-        Printf.printf "   note: %s is new (no baseline)\n" key)
-    cur_rows
 
 (* The artifact cache's whole value is warm hits costing a vanishing
    fraction of a cold compile: gate the machine-independent warm_speedup
@@ -643,10 +406,6 @@ let run ?(baseline_dir : string option) ?(current_dir : string option)
   Printf.printf "   baseline: %s\n   current:  %s\n   tolerance: %.0f%%\n"
     baseline_dir current_dir (100. *. tolerance);
   let out = { failures = []; checked = 0 } in
-  gate_file out ~tolerance ~compare: compare_par ~name: "BENCH_par.json"
-    ~baseline_dir ~current_dir;
-  gate_file out ~tolerance ~compare: compare_exec ~name: "BENCH_exec.json"
-    ~baseline_dir ~current_dir;
   gate_file out ~tolerance ~compare: compare_compile
     ~name: "BENCH_compile.json" ~baseline_dir ~current_dir;
   gate_file out ~tolerance ~compare: compare_scale ~name: "BENCH_scaling.json"

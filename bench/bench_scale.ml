@@ -284,7 +284,7 @@ let write_json ~smoke ~host_cores ~(model : Scale.Netmodel.t)
 
 let run ?(smoke = false) () =
   Printf.printf "== Scale-out replay (calibrate, validate, project) ==\n";
-  let host_cores = Bench_par.host_cores () in
+  let host_cores = Mpi_par.host_cores () in
   Printf.printf "   host cores: %d\n" host_cores;
   let grid2 n = [ n; n ] in
   let heat ~n ~steps =

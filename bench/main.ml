@@ -82,46 +82,9 @@ let rec extract_out_dir = function
 
 let () =
   let args = extract_out_dir (List.tl (Array.to_list Sys.argv)) in
-  (* "par" measures real multicore execution; it is dispatched explicitly
-     (with an optional --smoke flag) and not part of the default model-based
-     section sweep. *)
   (match args with
-  | "par" :: rest ->
-      (* par [--smoke] [--grid WxH]: the override pins the rank topology
-         for A/B runs against whatever the auto-tuner would pick. *)
-      let grid_override =
-        let rec find = function
-          | "--grid" :: v :: _ -> Some v
-          | _ :: tl -> find tl
-          | [] -> None
-        in
-        match find rest with
-        | None -> None
-        | Some s -> (
-            let dims =
-              String.split_on_char 'x' s
-              |> List.map (fun d -> int_of_string_opt (String.trim d))
-            in
-            match
-              List.fold_right
-                (fun d acc ->
-                  match (d, acc) with
-                  | Some d, Some acc when d >= 1 -> Some (d :: acc)
-                  | _ -> None)
-                dims (Some [])
-            with
-            | Some dims when dims <> [] -> Some dims
-            | _ ->
-                prerr_endline ("par: invalid --grid " ^ s ^ " (want e.g. 4x2)");
-                exit 1)
-      in
-      Bench_par.run ~smoke: (List.mem "--smoke" rest) ?grid_override ();
-      exit 0
   | "scale" :: rest ->
       Bench_scale.run ~smoke: (List.mem "--smoke" rest) ();
-      exit 0
-  | "exec" :: rest ->
-      Bench_exec.run ~smoke: (List.mem "--smoke" rest) ();
       exit 0
   | "compile" :: rest ->
       Bench_compile.run ~smoke: (List.mem "--smoke" rest) ();
@@ -160,17 +123,14 @@ let () =
     prerr_endline "unknown section; available:";
     List.iter (fun (n, _) -> prerr_endline ("  " ^ n)) sections;
     prerr_endline
-      "  par [--smoke] [--grid WxH]  (measured multicore execution)";
-    prerr_endline
       "  scale [--smoke] (calibrated replay: strong-scaling curves to 1024 \
        ranks)";
-    prerr_endline "  exec [--smoke]  (measured interp vs compiled executor)";
     prerr_endline
       "  compile [--smoke] (artifact cache cold/warm + --serve throughput)";
     prerr_endline
       "  regress [--baseline DIR] [--current DIR] [--tolerance F]";
     prerr_endline
-      "                  (gate fresh BENCH_par/BENCH_exec/BENCH_compile vs \
+      "                  (gate fresh BENCH_compile/BENCH_scaling vs \
        baselines)";
     prerr_endline "  --out-dir DIR   (where BENCH_*.json land; default repo root)";
     exit 1

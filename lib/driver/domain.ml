@@ -8,18 +8,46 @@ let rank_coords ~grid rank =
   let strides = Core.Dmp_to_mpi.grid_strides grid in
   List.map2 (fun g s -> rank / s mod g) grid strides
 
-(* Iterate over all logical coordinates of a buffer. *)
-let iter_coords (b : Interp.Rtval.buffer) f =
-  let rec nest shape lo coords =
-    match (shape, lo) with
-    | [], [] -> f (List.rev coords)
-    | s :: shape', l :: lo' ->
-        for i = l to l + s - 1 do
-          nest shape' lo' (i :: coords)
-        done
-    | _ -> invalid_arg "iter_coords"
+(* Copy the box of [sizes] cells at logical coordinates [src_at] in [src]
+   to [dst_at] in [dst] with one strided blit.  The box must lie inside
+   both buffers; an empty box copies nothing. *)
+let copy_box ~(src : Interp.Rtval.buffer) ~src_at ~(dst : Interp.Rtval.buffer)
+    ~dst_at ~sizes =
+  let sizes = Array.of_list sizes in
+  let n = Array.length sizes in
+  (* Linear offset of [at] and row-major strides, bounds-checked. *)
+  let locate (b : Interp.Rtval.buffer) at =
+    let shape = Array.of_list b.Interp.Rtval.shape
+    and lo = Array.of_list b.Interp.Rtval.lo
+    and at = Array.of_list at in
+    if Array.length shape <> n || Array.length at <> n then
+      Interp.Rtval.error "domain copy: %d-d box on a %d-d buffer" n
+        (Array.length shape);
+    let strides = Array.make n 1 in
+    for d = n - 2 downto 0 do
+      strides.(d) <- strides.(d + 1) * shape.(d + 1)
+    done;
+    let off = ref 0 in
+    for d = 0 to n - 1 do
+      let i = at.(d) - lo.(d) in
+      if i < 0 || i + sizes.(d) > shape.(d) then
+        Interp.Rtval.error
+          "domain copy: box [%d, %d) out of bounds [%d, %d) in dimension %d"
+          at.(d)
+          (at.(d) + sizes.(d))
+          lo.(d)
+          (lo.(d) + shape.(d))
+          d;
+      off := !off + (i * strides.(d))
+    done;
+    (!off, strides)
   in
-  nest b.Interp.Rtval.shape b.Interp.Rtval.lo []
+  if Array.for_all (fun s -> s > 0) sizes then begin
+    let src_off, src_strides = locate src src_at in
+    let dst_off, dst_strides = locate dst dst_at in
+    Interp.Rtval.blit_strided ~src ~dst ~sizes ~src_off ~src_strides ~dst_off
+      ~dst_strides
+  end
 
 (* Allocate the local buffer for [rank] of a field with [local_bounds],
    filling every point (interior and halo) from the global buffer where the
@@ -40,17 +68,19 @@ let scatter_field ~(global : Interp.Rtval.buffer) ~grid
     Interp.Rtval.alloc_buffer ~lo shape global.Interp.Rtval.elt
   in
   let offset = List.map2 (fun c n -> c * n) coords interior in
-  iter_coords local (fun local_coords ->
-      let global_coords = List.map2 ( + ) local_coords offset in
-      let in_bounds =
-        List.for_all2
-          (fun gc (s, l) -> gc >= l && gc < l + s)
-          global_coords
-          (List.combine global.Interp.Rtval.shape global.Interp.Rtval.lo)
-      in
-      if in_bounds then
-        Interp.Rtval.set local local_coords
-          (Interp.Rtval.get global global_coords));
+  (* The local box in global coordinates, clipped to the global buffer. *)
+  let box =
+    List.map2
+      (fun ((s, l), o) (gs, gl) ->
+        let a = max (l + o) gl and b = min (l + o + s) (gl + gs) in
+        (a, max 0 (b - a)))
+      (List.combine (List.combine shape lo) offset)
+      (List.combine global.Interp.Rtval.shape global.Interp.Rtval.lo)
+  in
+  let at = List.map fst box in
+  copy_box ~src: global ~src_at: at ~dst: local
+    ~dst_at: (List.map2 ( - ) at offset)
+    ~sizes: (List.map snd box);
   local
 
 (* Copy the interior [0, interior) of [local] into the global buffer at this
@@ -65,19 +95,8 @@ let gather_interior ?origin ~(global : Interp.Rtval.buffer)
   let origin =
     match origin with Some o -> o | None -> List.map (fun _ -> 0) interior
   in
-  let rec nest dims coords =
-    match dims with
-    | [] ->
-        let local_coords = List.rev coords in
-        let global_coords = List.map2 ( + ) local_coords offset in
-        Interp.Rtval.set global global_coords
-          (Interp.Rtval.get local (List.map2 ( + ) local_coords origin))
-    | n :: rest ->
-        for i = 0 to n - 1 do
-          nest rest (i :: coords)
-        done
-  in
-  nest interior []
+  copy_box ~src: local ~src_at: origin ~dst: global ~dst_at: offset
+    ~sizes: interior
 
 (* Local bounds of a distributed function's field arguments, read straight
    off the (already localized) types. *)

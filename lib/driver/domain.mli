@@ -6,8 +6,6 @@ open Ir
 val rank_coords : grid:int list -> int -> int list
 (** Cartesian coordinates of a rank in a row-major grid. *)
 
-val iter_coords : Interp.Rtval.buffer -> (int list -> unit) -> unit
-
 val scatter_field :
   global:Interp.Rtval.buffer ->
   grid:int list ->
@@ -16,7 +14,7 @@ val scatter_field :
   Interp.Rtval.buffer
 (** The local buffer for [rank]: every point (interior and halo) filled
     from the global buffer where the global coordinate exists, 0
-    elsewhere.  Assumes symmetric ghost margins. *)
+    elsewhere, with one strided copy.  Assumes symmetric ghost margins. *)
 
 val gather_interior :
   ?origin:int list ->
@@ -29,7 +27,8 @@ val gather_interior :
   unit
 (** Copy the local interior into the global buffer at the rank's offset;
     [origin] shifts local coordinates for buffers rebased to zero after
-    lowering. *)
+    lowering.  Raises [Interp.Rtval.Runtime_error] when the interior box
+    does not fit inside either buffer. *)
 
 val field_arg_bounds : Op.t -> Typesys.bound list list
 (** Bounds of a function's stencil-typed arguments. *)

@@ -3,7 +3,7 @@
    fully lower it, execute it on a chosen MPI substrate (simulated fibers
    or real domains), gather rank interiors and compare against the serial
    run.  One entry point shared by stencilc --run-par/--run-sim, the
-   bench par section and the parallel-runtime tests. *)
+   bench scale section and the parallel-runtime tests. *)
 
 open Ir
 

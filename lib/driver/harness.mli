@@ -2,7 +2,7 @@
     distribution + full lowering to MPI_* calls, execution on a chosen
     substrate (simulated fibers or real OCaml 5 domains), interior gather
     and comparison.  Shared by [stencilc --run-par]/[--run-sim], the
-    bench [par] section and the parallel-runtime tests. *)
+    bench [scale] section and the parallel-runtime tests. *)
 
 open Ir
 

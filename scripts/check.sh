@@ -1,8 +1,8 @@
 #!/bin/sh
-# Repo check: formatting, full build, full test suite, a smoke run of the
-# parallel (OCaml-domains) execution path on both the CLI and the bench
-# harness, and the benchmark regression gate (fresh smoke numbers vs the
-# checked-in baselines under bench/baselines/).
+# Repo check: formatting, full build, full test suite, smoke runs of the
+# parallel (OCaml-domains) execution path through the CLI, the compile and
+# scale bench smokes, and the benchmark regression gate (fresh smoke
+# numbers vs the checked-in baselines under bench/baselines/).
 # Run from anywhere; operates on the repo root.
 #
 # Usage: check.sh [--smoke]
@@ -150,8 +150,6 @@ esac
 # compares them against the checked-in baselines.
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-dune exec bench/main.exe -- par --smoke --out-dir "$tmpdir" > /dev/null
-dune exec bench/main.exe -- exec --smoke --out-dir "$tmpdir" > /dev/null
 dune exec bench/main.exe -- compile --smoke --out-dir "$tmpdir" > /dev/null
 dune exec bench/main.exe -- scale --smoke --out-dir "$tmpdir" > /dev/null
 test -f "$tmpdir/BENCH_scaling.json" || {
@@ -168,21 +166,22 @@ dune exec bench/main.exe -- regress --current "$tmpdir"
 
 # Bench artifacts must land at the repo root regardless of the cwd the
 # binary runs from (the writers resolve paths against the root).  The
-# committed artifact is saved and restored: this check only probes path
-# resolution.
-saved="$tmpdir/BENCH_exec.json.saved"
-cp "$root/BENCH_exec.json" "$saved"
-rm -f "$root/BENCH_exec.json"
+# committed artifact is saved first and put back by the EXIT trap, so a
+# failure anywhere below leaves it in the working tree: this check only
+# probes path resolution.
+saved="$tmpdir/BENCH_compile.json.saved"
+cp "$root/BENCH_compile.json" "$saved"
+trap 'mv -f "$saved" "$root/BENCH_compile.json"; rm -rf "$tmpdir"' EXIT
+rm -f "$root/BENCH_compile.json"
 rundir="$tmpdir/rundir"
 mkdir "$rundir"
-(cd "$rundir" && "$root/_build/default/bench/main.exe" exec --smoke > /dev/null)
-test -f "$root/BENCH_exec.json" || {
-  echo "check.sh: BENCH_exec.json did not land at the repo root" >&2
+(cd "$rundir" && "$root/_build/default/bench/main.exe" compile --smoke > /dev/null)
+test -f "$root/BENCH_compile.json" || {
+  echo "check.sh: BENCH_compile.json did not land at the repo root" >&2
   exit 1
 }
 if ls "$rundir"/BENCH_*.json > /dev/null 2>&1; then
   echo "check.sh: bench artifacts leaked into the run cwd" >&2
   exit 1
 fi
-mv "$saved" "$root/BENCH_exec.json"
 echo "check.sh: all checks passed"

@@ -353,6 +353,45 @@ let test_harness_equivalence_compiled () =
         [ 1; 2; 4 ])
     workloads
 
+(* --- pinned traffic: the exact halo counters of Devito heat2d so=2 on a
+   16x16 grid for 2 steps under the default 2d-slice/faces decomposition,
+   compiled on both substrates --- *)
+
+let heat_module ~shape ~timesteps : Op.t =
+  let g = Devito.Symbolic.grid ~dt: 0.1 shape in
+  let u = Devito.Symbolic.function_ ~space_order: 2 "u" g in
+  let eqn =
+    Devito.Symbolic.eq (Devito.Symbolic.Dt u)
+      Devito.Symbolic.(f 0.5 *: laplace u)
+  in
+  snd (Devito.Operator.operator ~name: "heat" ~timesteps eqn)
+
+let test_pinned_traffic () =
+  let exactly_zero name d = check (Alcotest.float 0.) name 0. d in
+  let m = heat_module ~shape: [ 16; 16 ] ~timesteps: 2 in
+  List.iter
+    (fun (ranks, overlap, messages, bytes) ->
+      let run substrate =
+        Driver.Harness.run_distributed ~substrate
+          ~executor: Exec_compile.executor ~overlap ~ranks m
+      in
+      let par = run Driver.Harness.Par and sim = run Driver.Harness.Sim in
+      List.iter
+        (fun (r : Driver.Harness.result) ->
+          let tag =
+            Printf.sprintf "%s ranks=%d overlap=%b" r.Driver.Harness.substrate_name
+              ranks overlap
+          in
+          check int_c (tag ^ ": messages") messages r.Driver.Harness.messages;
+          check int_c (tag ^ ": bytes") bytes r.Driver.Harness.bytes;
+          exactly_zero (tag ^ ": == interp-serial")
+            r.Driver.Harness.max_diff_vs_serial)
+        [ par; sim ];
+      exactly_zero
+        (Printf.sprintf "ranks=%d overlap=%b: par == sim" ranks overlap)
+        (Driver.Harness.max_result_diff par sim))
+    [ (1, true, 0, 0); (2, true, 4, 256); (2, false, 4, 256) ]
+
 let suite =
   [
     Alcotest.test_case "jacobi1d lowered: compiled == interp" `Quick
@@ -368,4 +407,6 @@ let suite =
     Alcotest.test_case "harness: compiled par == sim == serial" `Quick
       test_harness_equivalence_compiled;
     QCheck_alcotest.to_alcotest differential_prop;
+    Alcotest.test_case "heat2d so=2 pinned traffic: par == sim == serial"
+      `Quick test_pinned_traffic;
   ]

@@ -303,19 +303,28 @@ let test_tiling_preserves_traffic () =
   let m = Programs.heat2d_timeloop_module ~nx: 16 ~ny: 16 ~steps: 3 in
   let base = run_dist ~executor: compiled ~ranks: 4 ~threads: 1 ~tiles: [] m in
   List.iter
-    (fun tiles ->
-      let r = run_dist ~executor: compiled ~ranks: 4 ~threads: 1 ~tiles m in
-      let tag = String.concat "x" (List.map string_of_int tiles) in
-      check int_c
-        (Printf.sprintf "tile %s: messages unchanged" tag)
-        base.Driver.Harness.messages r.Driver.Harness.messages;
-      check int_c
-        (Printf.sprintf "tile %s: bytes unchanged" tag)
-        base.Driver.Harness.bytes r.Driver.Harness.bytes;
-      exactly_zero
-        (Printf.sprintf "tile %s: result unchanged" tag)
-        (Driver.Harness.max_result_diff base r))
-    [ [ 4; 4 ]; [ 8; 8 ]; [ 16; 16 ]; [ 5; 3 ] ]
+    (fun threads ->
+      List.iter
+        (fun tiles ->
+          let r = run_dist ~executor: compiled ~ranks: 4 ~threads ~tiles m in
+          let tag =
+            Printf.sprintf "threads %d tile %s" threads
+              (String.concat "x" (List.map string_of_int tiles))
+          in
+          check int_c
+            (Printf.sprintf "%s: messages unchanged" tag)
+            base.Driver.Harness.messages r.Driver.Harness.messages;
+          check int_c
+            (Printf.sprintf "%s: bytes unchanged" tag)
+            base.Driver.Harness.bytes r.Driver.Harness.bytes;
+          exactly_zero
+            (Printf.sprintf "%s: result unchanged" tag)
+            (Driver.Harness.max_result_diff base r);
+          exactly_zero
+            (Printf.sprintf "%s: == serial" tag)
+            r.Driver.Harness.max_diff_vs_serial)
+        [ []; [ 4; 4 ]; [ 8; 8 ]; [ 16; 16 ]; [ 5; 3 ] ])
+    [ 1; 2 ]
 
 let test_tiles_change_fingerprint () =
   let target tiles =
