@@ -127,7 +127,6 @@ let concurrent_socket ~clients ~requests (name, m) : float * bool =
       Service.Serve.resolve_demo =
         (fun n -> if n = name then Some m else None);
       run = None;
-      scheduler = None;
     }
   in
   let ready = Atomic.make false in

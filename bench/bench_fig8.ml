@@ -106,8 +106,9 @@ let scaling_row (w : Workloads.devito_workload) ranks =
     (100. *. (1. -. (xdsl_compute /. xdsl_step)))
     (100. *. Float.max 0. (1. -. (devito_compute /. devito_step)))
 
-(* Cross-check: the analytic message count must match what the simulated
-   MPI run actually sends for a small configuration. *)
+(* Cross-check: the traffic [Scale.Schedule] derives from the module must
+   equal what the simulated MPI run of the same module actually sends;
+   a mismatch fails the figure. *)
 let validate_schedule () =
   let w = Workloads.heat ~dims: 2 ~so: 2 () in
   let ranks = 4 in
@@ -122,8 +123,6 @@ let validate_schedule () =
       (Core.Dmp_to_mpi.run
          (Core.Stencil_to_loops.run ~style: Core.Stencil_to_loops.Sequential dm))
   in
-  let fop = Option.get (Op.lookup_symbol lowered "heat") in
-  ignore fop;
   let sfop =
     List.find
       (fun (op : Op.t) -> Op.attr op "dmp.topology" <> None)
@@ -148,12 +147,20 @@ let validate_schedule () =
                     ~rank))))
       lowered
   in
-  (* 4 ranks in a 2x2 grid: every rank has 2 neighbors, 1 swap per step. *)
+  let derived =
+    Scale.Schedule.of_module ~strategy: Core.Decomposition.Slice2d
+      ~overlap: false ~ranks w.Workloads.module_
+  in
+  let sent = (Mpi_sim.total_messages comm, Mpi_sim.total_bytes comm) in
+  let expected =
+    (Scale.Schedule.total_messages derived, Scale.Schedule.total_bytes derived)
+  in
   Printf.printf
-    "  schedule cross-check (heat2d, 4 ranks, 1 step): simulated %d msgs, \
-     analytic %d msgs\n"
-    (Mpi_sim.total_messages comm)
-    (4 * 2)
+    "  schedule cross-check (heat2d, %d ranks): simulated %d msgs / %d B, \
+     derived %d msgs / %d B\n"
+    ranks (fst sent) (snd sent) (fst expected) (snd expected);
+  if sent <> expected then
+    failwith "fig8: derived schedule traffic differs from the simulated run"
 
 let run () =
   Printf.printf

@@ -114,67 +114,3 @@ let psyclone_features (w : psyclone_workload) ~points : Machine.Features.t =
   Machine.Features.with_points
     (Machine.Features.of_stencil_module ~elt_bytes: 4 w.p_module)
     points
-
-(* --- communication schedules measured from the compiled IR --- *)
-
-(* Per-rank, per-step message count and byte volume: read directly off the
-   dmp.swap declarations of the distributed module (after redundant-swap
-   elimination), exactly what the generated code would send. *)
-let comm_per_step_of_module (dm : Op.t) ~elt_bytes : int * float =
-  let messages = ref 0 and bytes = ref 0. in
-  Op.walk
-    (fun op ->
-      if op.Op.name = "dmp.swap" then begin
-        let exs = Core.Dmp.exchanges_of op in
-        messages := !messages + List.length exs;
-        bytes :=
-          !bytes
-          +. float_of_int
-               (Core.Decomposition.exchange_volume exs * elt_bytes)
-      end)
-    dm;
-  (!messages, !bytes)
-
-(* Distribute a stencil module and return the per-step xDSL communication
-   schedule scaled to the paper's local domain size. *)
-let xdsl_schedule (m : Op.t) ~ranks ~strategy ~(global : float list)
-    ~elt_bytes : Machine.Net.schedule =
-  let dm = Core.Swap_elim.run (Core.Distribute.run (Core.Distribute.options ~ranks ~strategy ()) m) in
-  let msgs, small_bytes = comm_per_step_of_module dm ~elt_bytes in
-  (* Scale the measured (small-grid) volume to the target local domain:
-     halo faces scale with the local surface. *)
-  let fop =
-    List.find
-      (fun (op : Op.t) -> Op.attr op "dmp.topology" <> None)
-      (Op.module_ops dm)
-  in
-  let grid = Driver.Domain.topology_of fop in
-  let small_local =
-    List.map2
-      (fun (b : Typesys.bound) g ->
-        ignore g;
-        float_of_int (b.Typesys.hi + b.Typesys.lo))
-      (List.hd (Driver.Domain.field_arg_bounds fop))
-      grid
-  in
-  let target_local =
-    List.map2 (fun n g -> n /. float_of_int g) global grid
-  in
-  (* Surface ratio per dimension pair: scale each face by the product of
-     the other dimensions' ratios; a single aggregate ratio using the
-     geometric structure is adequate at first order. *)
-  let ratio =
-    let prod l = List.fold_left ( *. ) 1. l in
-    let full_ratio = prod target_local /. prod small_local in
-    let lin_ratio =
-      (prod target_local /. prod small_local)
-      ** (1. /. float_of_int (List.length global))
-    in
-    full_ratio /. lin_ratio
-  in
-  {
-    Machine.Net.messages = msgs;
-    bytes = small_bytes *. ratio;
-    overlap = false;
-    host_us_per_msg = Machine.Net.xdsl_host_us_per_msg;
-  }

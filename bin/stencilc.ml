@@ -89,8 +89,8 @@ let parse_tiles spec =
 
 (* Execute the module end-to-end on an MPI substrate (--run-par/--run-sim):
    serial reference, distribute + lower, run, gather, compare. *)
-let execute_distributed ~substrate ~ranks ~strategy ~stall_timeout ~trace_out
-    ~report ~exec ~overlap ~tile ~threads m =
+let execute_distributed ~substrate ~ranks ~strategy ~trace_out ~report ~exec
+    ~overlap ~tile ~threads m =
   (* [of_name] fails with the registered executor names spelled out. *)
   let executor = Interp.Executor.of_name exec in
   if threads < 1 then failwith "--threads-per-rank must be positive";
@@ -112,8 +112,7 @@ let execute_distributed ~substrate ~ranks ~strategy ~stall_timeout ~trace_out
   let r =
     Driver.Harness.run_distributed ~substrate
       ~strategy: (strategy_of_string strategy)
-      ~stall_timeout_s: stall_timeout ~trace ~executor ~overlap ~tiles
-      ~threads_per_rank: threads ~ranks m
+      ~trace ~executor ~overlap ~tiles ~threads_per_rank: threads ~ranks m
   in
   Format.printf "substrate:  %s@." r.Driver.Harness.substrate_name;
   Format.printf "executor:   %s@." r.Driver.Harness.executor_name;
@@ -204,7 +203,6 @@ let autotune ~ranks ~netmodel m =
 let serve_handlers : Service.Serve.handlers =
   {
     Service.Serve.resolve_demo = demo_module;
-    scheduler = None;
     run =
       Some
         (fun m (art : Service.Artifact.t) ~ranks ~substrate ~threads ->
@@ -313,17 +311,14 @@ let client_pump spec =
 
 let serve_daemon endpoint =
   let s = Service.Socket_server.run ~handlers: serve_handlers endpoint in
-  Format.eprintf
-    "// %s: served %d connection(s); %d compile batch(es) over %d batched \
-     request(s)@."
+  Format.eprintf "// %s: served %d connection(s); %d cold compile(s)@."
     (Service.Socket_server.endpoint_name endpoint)
-    s.Service.Socket_server.connections s.Service.Socket_server.batches
-    s.Service.Socket_server.batched_jobs;
+    s.Service.Socket_server.connections s.Service.Socket_server.batched_jobs;
   0
 
 let run_cmd input demo pipeline passes ranks strategy print_after verify
-    stats profile pass_stats trace_out report run_par run_sim stall_timeout
-    exec overlap tile threads serve socket tcp_port store_dir store_max_mb
+    stats profile pass_stats trace_out report run_par run_sim exec
+    overlap tile threads serve socket tcp_port store_dir store_max_mb
     cache_capacity connect_to autotune_ranks netmodel =
   try
     match connect_to with
@@ -357,10 +352,10 @@ let run_cmd input demo pipeline passes ranks strategy print_after verify
     | Some ranks, _, _ -> autotune ~ranks ~netmodel m
     | None, Some ranks, _ ->
         execute_distributed ~substrate: Driver.Harness.Par ~ranks ~strategy
-          ~stall_timeout ~trace_out ~report ~exec ~overlap ~tile ~threads m
+          ~trace_out ~report ~exec ~overlap ~tile ~threads m
     | None, None, Some ranks ->
         execute_distributed ~substrate: Driver.Harness.Sim ~ranks ~strategy
-          ~stall_timeout ~trace_out ~report ~exec ~overlap ~tile ~threads m
+          ~trace_out ~report ~exec ~overlap ~tile ~threads m
     | None, None, None ->
     let selected =
       match (pipeline, passes) with
@@ -505,7 +500,9 @@ let run_par_arg =
            OCaml domain per rank, shared-memory transport), compare \
            against the serial interpreter and report wall-clock speedup. \
            Combines with --strategy and --trace-out (per-rank wall-clock \
-           timelines).")
+           timelines).  A run is aborted with a report of each rank's \
+           pending operation when every rank has been blocked in the \
+           transport for 30 s without progress.")
 
 let run_sim_arg =
   Arg.(
@@ -516,15 +513,6 @@ let run_sim_arg =
           "Execute the module end-to-end on $(docv) simulated ranks \
            (deterministic cooperative fibers) and compare against the \
            serial interpreter.")
-
-let stall_timeout_arg =
-  Arg.(
-    value & opt float 30.
-    & info [ "stall-timeout" ] ~docv: "SECONDS"
-        ~doc:
-          "Watchdog for --run-par: abort when no transport progress is \
-           made for $(docv) seconds while every domain is blocked, and \
-           report each domain's pending operation.")
 
 let exec_arg =
   Arg.(
@@ -589,9 +577,9 @@ let socket_arg =
         ~doc:
           "With --serve semantics: listen on a Unix-domain socket at \
            $(docv) and accept multiple concurrent client connections \
-           (each served by its own domain; cold compiles are batched).  \
-           A client sending 'shutdown' stops the daemon; 'quit' or EOF \
-           closes only that connection.  Implies --serve.")
+           (each served by its own domain, which also runs that client's \
+           cold compiles).  A client sending 'shutdown' stops the daemon; \
+           'quit' or EOF closes only that connection.  Implies --serve.")
 
 let tcp_arg =
   Arg.(
@@ -675,7 +663,7 @@ let cmd =
       $ ranks_arg $ strategy_arg $ print_after_arg
       $ verify_arg $ stats_arg $ profile_arg $ pass_stats_arg
       $ trace_out_arg $ report_arg $ run_par_arg $ run_sim_arg
-      $ stall_timeout_arg $ exec_arg $ overlap_arg $ tile_arg $ threads_arg
+      $ exec_arg $ overlap_arg $ tile_arg $ threads_arg
       $ serve_arg $ socket_arg $ tcp_arg $ store_arg $ store_max_mb_arg
       $ cache_capacity_arg $ connect_arg $ autotune_arg
       $ netmodel_arg)

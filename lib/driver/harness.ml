@@ -112,10 +112,9 @@ module Par_runner = Runner (Mpi_par)
 
 let run_distributed ?(substrate = Sim)
     ?(strategy = Core.Decomposition.Slice2d)
-    ?(mode = Core.Decomposition.Faces) ?stall_timeout_s
-    ?queue_capacity ?(trace = false) ?executor ?(seed = 0) ?func
-    ?(overlap = true) ?(tiles = []) ?(threads_per_rank = 1) ~ranks (m : Op.t) :
-    result =
+    ?(mode = Core.Decomposition.Faces) ?(trace = false) ?executor ?(seed = 0)
+    ?func ?(overlap = true) ?(tiles = []) ?(threads_per_rank = 1) ~ranks
+    (m : Op.t) : result =
   let func = match func with Some f -> f | None -> default_func m in
   let args = field_args m func in
   if args = [] then
@@ -204,9 +203,8 @@ let run_distributed ?(substrate = Sim)
         Sim_runner.exec ~trace ~threads ~program ~ranks ~func ~make_args
           ~collect lowered
     | Par ->
-        Mpi_par.with_defaults ?stall_timeout_s ?queue_capacity (fun () ->
-            Par_runner.exec ~trace ~threads ~program ~ranks ~func ~make_args
-              ~collect lowered)
+        Par_runner.exec ~trace ~threads ~program ~ranks ~func ~make_args
+          ~collect lowered
   in
   let wall_s = Unix.gettimeofday () -. t1 in
   let analysis = if trace then Some (Analysis.analyze ~ranks tl) else None in

@@ -32,8 +32,6 @@ val run_distributed :
   ?substrate:substrate ->
   ?strategy:Core.Decomposition.strategy ->
   ?mode:Core.Decomposition.exchange_mode ->
-  ?stall_timeout_s:float ->
-  ?queue_capacity:int ->
   ?trace:bool ->
   ?executor:Interp.Executor.t ->
   ?seed:int ->
@@ -48,8 +46,7 @@ val run_distributed :
     defaults to the first function with a [sym_name]; inputs are
     deterministically initialized from [seed] (default 0); [substrate]
     defaults to {!Sim}.  [mode] (default [Faces]) selects the neighbor
-    set halo exchanges cover.  [stall_timeout_s]/[queue_capacity] configure the
-    {!Par} transport.  [executor] selects the backend for the
+    set halo exchanges cover.  [executor] selects the backend for the
     distributed run (default: reference interpreter); the serial
     reference always runs interpreted, as the oracle.  [overlap]
     (default true) applies the split-phase communication/computation

@@ -130,14 +130,9 @@ module Par_exec = Spmd (Mpi_par)
 (* The historical simulator-typed entry point. *)
 let run_spmd = Sim_exec.run_spmd
 
-(* Parallel execution with transport configuration: each rank is a real
-   domain; a stall watchdog (Mpi_par.Stall) replaces the simulator's
-   exact deadlock detection. *)
-let run_spmd_par ?stall_timeout_s ?queue_capacity ?trace ?executor ?program
-    ?threads ?on_timeline ~ranks ~func ~make_args ?collect m =
-  Mpi_par.with_defaults ?stall_timeout_s ?queue_capacity (fun () ->
-      Par_exec.run_spmd ?trace ?executor ?program ?threads ?on_timeline
-        ~ranks ~func ~make_args ?collect m)
+(* Parallel execution: each rank is a real domain; a stall watchdog
+   (Mpi_par.Stall) replaces the simulator's exact deadlock detection. *)
+let run_spmd_par = Par_exec.run_spmd
 
 (* Serial execution (no MPI): run [func] with the given arguments on the
    chosen executor (the reference interpreter by default). *)

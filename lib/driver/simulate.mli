@@ -70,8 +70,6 @@ val run_spmd :
 (** [Sim_exec.run_spmd]: deterministic cooperative fibers. *)
 
 val run_spmd_par :
-  ?stall_timeout_s:float ->
-  ?queue_capacity:int ->
   ?trace:bool ->
   ?executor:Interp.Executor.t ->
   ?program:Interp.Executor.shared ->
@@ -84,9 +82,9 @@ val run_spmd_par :
     (Mpi_par.rank_ctx -> Interp.Rtval.t list -> Interp.Rtval.t list -> unit) ->
   Op.t ->
   Mpi_par.comm
-(** [Par_exec.run_spmd] with transport configuration: each rank is a real
-    OCaml 5 domain; a stall watchdog ({!Mpi_par.Stall}) replaces the
-    simulator's exact deadlock detection. *)
+(** [Par_exec.run_spmd]: each rank is a real OCaml 5 domain; a stall
+    watchdog ({!Mpi_par.Stall}, 30 s) replaces the simulator's exact
+    deadlock detection. *)
 
 val events_to_obs : Mpi_intf.timeline_event list -> unit
 (** Export a recorded timeline into the current Obs sink: pid = rank+1,

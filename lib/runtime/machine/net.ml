@@ -30,20 +30,6 @@ type schedule = {
 let xdsl_host_us_per_msg = 12.
 let devito_host_us_per_msg = 2.
 
-(* Schedule derived from the exchange declarations of the compiled dmp
-   swaps: each exchange is one message of size volume * elt_bytes (counted
-   per swap per step). *)
-let schedule_of_exchanges ~(exchanges : Ir.Typesys.exchange list)
-    ~(elt_bytes : int) ~(overlap : bool) : schedule =
-  {
-    messages = List.length exchanges;
-    bytes =
-      float_of_int (Core.Decomposition.exchange_volume exchanges)
-      *. float_of_int elt_bytes;
-    overlap;
-    host_us_per_msg = xdsl_host_us_per_msg;
-  }
-
 (* Wire time: latency plus serialization. *)
 let wire_time (spec : spec) (s : schedule) : float =
   (float_of_int s.messages *. (spec.latency_us +. spec.per_msg_cpu_us) *. 1e-6)

@@ -26,12 +26,6 @@ type schedule = {
 val xdsl_host_us_per_msg : float
 val devito_host_us_per_msg : float
 
-val schedule_of_exchanges :
-  exchanges:Ir.Typesys.exchange list ->
-  elt_bytes:int ->
-  overlap:bool ->
-  schedule
-
 val wire_time : spec -> schedule -> float
 val host_time : schedule -> float
 val comm_time : spec -> schedule -> float

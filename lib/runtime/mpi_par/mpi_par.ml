@@ -23,8 +23,8 @@ exception Poisoned
 
 let substrate = "par"
 let host_cores () = Domain.recommended_domain_count ()
-let default_stall_timeout_s = ref 30.0
-let default_queue_capacity = ref 1024
+let watchdog_timeout_s = 30.0
+let mailbox_capacity = 1024
 
 type mailbox = {
   mb_mutex : Mutex.t;
@@ -452,12 +452,8 @@ let stall_report ~timeout comm =
 
 let run_with ?stall_timeout_s ?queue_capacity ?(trace = false) ~ranks body =
   if ranks < 1 then raise (Mpi_error "run: ranks must be >= 1");
-  let timeout =
-    Option.value stall_timeout_s ~default:!default_stall_timeout_s
-  in
-  let capacity =
-    Option.value queue_capacity ~default:!default_queue_capacity
-  in
+  let timeout = Option.value stall_timeout_s ~default: watchdog_timeout_s in
+  let capacity = Option.value queue_capacity ~default: mailbox_capacity in
   if capacity < 1 then raise (Mpi_error "run: queue capacity must be >= 1");
   let comm = make_comm ~trace ~ranks ~capacity in
   let failures = Array.make ranks None in
@@ -515,17 +511,6 @@ let run_with ?stall_timeout_s ?queue_capacity ?(trace = false) ~ranks body =
   comm
 
 let run ?trace ~ranks body = run_with ?trace ~ranks body
-
-let with_defaults ?stall_timeout_s ?queue_capacity f =
-  let saved_t = !default_stall_timeout_s
-  and saved_c = !default_queue_capacity in
-  Option.iter (fun v -> default_stall_timeout_s := v) stall_timeout_s;
-  Option.iter (fun v -> default_queue_capacity := v) queue_capacity;
-  Fun.protect
-    ~finally:(fun () ->
-      default_stall_timeout_s := saved_t;
-      default_queue_capacity := saved_c)
-    f
 
 (* {2 Introspection} *)
 

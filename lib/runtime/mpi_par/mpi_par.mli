@@ -28,12 +28,6 @@ val host_cores : unit -> int
 (** [Domain.recommended_domain_count ()]: how many domains this host can
     usefully run in parallel. *)
 
-val default_stall_timeout_s : float ref
-(** Watchdog timeout used by {!run} (seconds; default 30.0). *)
-
-val default_queue_capacity : int ref
-(** Mailbox capacity in messages before senders block (default 1024). *)
-
 val run_with :
   ?stall_timeout_s:float ->
   ?queue_capacity:int ->
@@ -41,10 +35,7 @@ val run_with :
   ranks:int ->
   (rank_ctx -> unit) ->
   comm
-(** {!run} with explicit transport configuration. *)
-
-val with_defaults :
-  ?stall_timeout_s:float -> ?queue_capacity:int -> (unit -> 'a) -> 'a
-(** Run [f] with the mutable defaults overridden (restored on exit) — for
-    callers that reach [run] through the substrate-generic signature,
-    which has no room for the extra parameters. *)
+(** {!run} with explicit transport configuration: [stall_timeout_s] is
+    the watchdog timeout (default 30 s), [queue_capacity] the mailbox
+    capacity in messages before senders block (default 1024).  {!run}
+    always uses the defaults. *)

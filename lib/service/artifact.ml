@@ -149,7 +149,7 @@ let restore_persisted ~(target : Core.Pipeline.target)
 
 (* ---------- cached acquisition ---------- *)
 
-let get_cached ?(executor = Interp.Executor.interpreter) ~target ?schedule m =
+let get_cached ?(executor = Interp.Executor.interpreter) ~target m =
   let digest = digest_of ~executor ~target m in
   let restored = ref false in
   let compute () =
@@ -167,15 +167,9 @@ let get_cached ?(executor = Interp.Executor.interpreter) ~target ?schedule m =
         restored := true;
         art
     | None ->
-        let cold () =
-          let art = compile ~executor ~target m in
-          persist ~source: m art;
-          art
-        in
-        (* The scheduler hook (the socket server's batcher) may run the
-           cold compile on another domain; store restores stay inline —
-           they are cheap and should not queue behind real compiles. *)
-        (match schedule with None -> cold () | Some s -> s cold)
+        let art = compile ~executor ~target m in
+        persist ~source: m art;
+        art
   in
   let art, flag = Cache.find_or_compute cache ~key: digest compute in
   let flag =

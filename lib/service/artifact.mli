@@ -53,14 +53,11 @@ val get :
 val get_cached :
   ?executor:Interp.Executor.t ->
   target:Core.Pipeline.target ->
-  ?schedule:((unit -> t) -> t) ->
   Ir.Op.t ->
   t * [ `Hit | `Miss | `Store ]
 (** {!get}, also reporting how the artifact was obtained: [`Hit] from the
     in-memory cache, [`Store] restored from the on-disk store (pipeline
-    skipped), [`Miss] compiled cold.  [schedule] wraps the cold-compile
-    thunk — the socket server's batcher uses it to coalesce simultaneous
-    cold compiles onto one worker; store restores never queue. *)
+    skipped), [`Miss] compiled cold on the calling domain. *)
 
 val set_store : Store.t option -> unit
 (** Install (or remove) the process-wide on-disk artifact store. *)

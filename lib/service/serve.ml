@@ -17,15 +17,12 @@ type run_handler =
   threads:int ->
   (string * string) list
 
-type compile_scheduler = (unit -> Artifact.t) -> Artifact.t * float
-
 type handlers = {
   resolve_demo : string -> Ir.Op.t option;
   run : run_handler option;
-  scheduler : compile_scheduler option;
 }
 
-let default_handlers = { resolve_demo = (fun _ -> None); run = None; scheduler = None }
+let default_handlers = { resolve_demo = (fun _ -> None); run = None }
 
 (* ---------- request parsing ---------- *)
 
@@ -164,25 +161,15 @@ let compile_artifact handlers ~payload params =
     Interp.Executor.of_name
       (Option.value (lookup params "exec") ~default: "compiled")
   in
-  let queue_s = ref 0. in
-  let schedule =
-    Option.map
-      (fun sch thunk ->
-        let art, q = sch thunk in
-        queue_s := q;
-        art)
-      handlers.scheduler
-  in
-  let art, flag = Artifact.get_cached ~executor ~target ?schedule m in
-  (m, art, flag, !queue_s)
+  let art, flag = Artifact.get_cached ~executor ~target m in
+  (m, art, flag)
 
-let artifact_kvs (art : Artifact.t) flag ~queue_s =
+let artifact_kvs (art : Artifact.t) flag =
   [
     ("digest", art.Artifact.digest);
     ( "cached",
       match flag with `Hit -> "hit" | `Miss -> "miss" | `Store -> "store" );
     ("compile_ms", Printf.sprintf "%.3f" (art.Artifact.compile_s *. 1000.));
-    ("queue_ms", Printf.sprintf "%.3f" (queue_s *. 1000.));
     ("exec", art.Artifact.executor_name);
   ]
 
@@ -205,15 +192,13 @@ let handle_request handlers ic line : (string * string) list =
         ("compile_s", Printf.sprintf "%.6f" s.Cache.compute_s);
       ]
   | "compile" ->
-      let _, art, flag, queue_s = compile_artifact handlers ~payload params in
-      artifact_kvs art flag ~queue_s
+      let _, art, flag = compile_artifact handlers ~payload params in
+      artifact_kvs art flag
   | "run" -> (
       match handlers.run with
       | None -> failwith "run requests not supported by this server"
       | Some run ->
-          let m, art, flag, queue_s =
-            compile_artifact handlers ~payload params
-          in
+          let m, art, flag = compile_artifact handlers ~payload params in
           let ranks =
             match art.Artifact.target with
             | Core.Pipeline.Distributed_cpu { ranks; _ } -> ranks
@@ -228,7 +213,7 @@ let handle_request handlers ic line : (string * string) list =
           if threads < 1 then
             failwith
               (Printf.sprintf "threads=%d must be positive" threads);
-          artifact_kvs art flag ~queue_s @ run m art ~ranks ~substrate ~threads)
+          artifact_kvs art flag @ run m art ~ranks ~substrate ~threads)
   | "" -> []
   | c -> failwith (Printf.sprintf "unknown command %S" c)
 

@@ -9,11 +9,10 @@
     - [stats] → [ok hits=... misses=... failed_hits=... failures=...
       evictions=... entries=... compile_s=...]
     - [compile <module> <target>] → [ok digest=<hex>
-      cached=hit|miss|store compile_ms=<ms> queue_ms=<ms> exec=<name>]
+      cached=hit|miss|store compile_ms=<ms> exec=<name>]
       ([cached=store] means the artifact was restored from the on-disk
-      store, skipping the pass pipeline; [queue_ms] is time spent queued
-      behind the batching scheduler before the compile started, 0 when
-      answered directly)
+      store, skipping the pass pipeline; a cold compile runs inline on
+      the requesting connection)
     - [run <module> <target> substrate=sim|par] → compile (cached) then
       execute via the installed run handler; its key/value results are
       appended to the [ok] line
@@ -51,22 +50,14 @@ type run_handler =
     by the CLI so the service library stays below the driver in the
     dependency order. *)
 
-type compile_scheduler = (unit -> Artifact.t) -> Artifact.t * float
-(** Runs (or enqueues) one cold compile and returns the artifact plus the
-    seconds it spent queued before the compile started.  The socket
-    server installs its batching scheduler here; [None] compiles inline
-    with zero queue time. *)
-
 type handlers = {
   resolve_demo : string -> Ir.Op.t option;
       (** named built-in programs ([demo=heat2d], ...) *)
   run : run_handler option;  (** [None] rejects [run] requests *)
-  scheduler : compile_scheduler option;
-      (** cold-compile scheduler; [None] compiles inline *)
 }
 
 val default_handlers : handlers
-(** No demos, no run handler, inline compiles: a pure compile server. *)
+(** No demos, no run handler: a pure compile server. *)
 
 val handle_request :
   handlers -> in_channel -> string -> (string * string) list

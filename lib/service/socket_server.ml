@@ -3,142 +3,16 @@
    client connections, each served by its own domain running the same
    line protocol as the stdin/stdout mode ([Serve.serve_connection])
    against the process-wide artifact cache — which already guarantees
-   compile-exactly-once under contention (promise-per-key).
-
-   Cold compiles from all connections are coalesced by a batching
-   scheduler: connection domains enqueue the compile thunk and block;
-   one worker domain drains everything queued at that moment as a single
-   batch (one traced invocation), so simultaneous requests for distinct
-   digests share one pipeline activation instead of racing N pipelines,
-   and every response reports how long the request sat queued
-   ([queue_ms]) apart from how long it compiled ([compile_ms]). *)
+   compile-exactly-once under contention (promise-per-key).  A cold
+   compile runs on the domain of the connection that asked for it, so
+   requests for distinct digests compile concurrently and the only
+   domains the daemon spawns are its connection domains. *)
 
 type endpoint = Unix_path of string | Tcp_port of int
 
 let endpoint_name = function
   | Unix_path p -> "unix:" ^ p
   | Tcp_port p -> Printf.sprintf "tcp:127.0.0.1:%d" p
-
-(* ---------- the compile batcher ---------- *)
-
-module Batch = struct
-  type job = {
-    work : unit -> Artifact.t;
-    enqueued : float;
-    mutable started : float;
-    mutable outcome : (Artifact.t, exn) result option;
-  }
-
-  type t = {
-    lock : Mutex.t;
-    nonempty : Condition.t;  (* queue went non-empty (or stop) *)
-    finished : Condition.t;  (* some job published its outcome *)
-    mutable queue : job list;  (* newest first *)
-    mutable stopped : bool;
-    mutable batches : int;
-    mutable jobs : int;
-    mutable worker : unit Domain.t option;
-  }
-
-  let rec worker_loop t =
-    Mutex.lock t.lock;
-    while t.queue = [] && not t.stopped do
-      Condition.wait t.nonempty t.lock
-    done;
-    let batch = List.rev t.queue in
-    t.queue <- [];
-    let stop_after = t.stopped && batch = [] in
-    if batch <> [] then begin
-      t.batches <- t.batches + 1;
-      t.jobs <- t.jobs + List.length batch
-    end;
-    Mutex.unlock t.lock;
-    if stop_after then ()
-    else begin
-      let run_batch () =
-        List.iter
-          (fun job ->
-            job.started <- Unix.gettimeofday ();
-            let outcome =
-              match job.work () with
-              | art -> Ok art
-              | exception e -> Error e
-            in
-            Mutex.lock t.lock;
-            job.outcome <- Some outcome;
-            Condition.broadcast t.finished;
-            Mutex.unlock t.lock)
-          batch
-      in
-      (match batch with
-      | [ _ ] -> run_batch ()
-      | _ ->
-          Obs.Trace.with_span ~cat: "service"
-            (Printf.sprintf "compile-batch[n=%d]" (List.length batch))
-            run_batch);
-      worker_loop t
-    end
-
-  let create () =
-    let t =
-      {
-        lock = Mutex.create ();
-        nonempty = Condition.create ();
-        finished = Condition.create ();
-        queue = [];
-        stopped = false;
-        batches = 0;
-        jobs = 0;
-        worker = None;
-      }
-    in
-    t.worker <- Some (Domain.spawn (fun () -> worker_loop t));
-    t
-
-  (* Enqueue one cold compile and block until the worker publishes its
-     outcome; returns the artifact and the seconds spent queued.  After
-     [stop], falls back to compiling inline so late requests still
-     succeed. *)
-  let schedule t (work : unit -> Artifact.t) : Artifact.t * float =
-    let job =
-      { work; enqueued = Unix.gettimeofday (); started = 0.; outcome = None }
-    in
-    Mutex.lock t.lock;
-    if t.stopped then begin
-      Mutex.unlock t.lock;
-      (work (), 0.)
-    end
-    else begin
-      t.queue <- job :: t.queue;
-      Condition.signal t.nonempty;
-      while job.outcome = None do
-        Condition.wait t.finished t.lock
-      done;
-      Mutex.unlock t.lock;
-      let queue_s = Float.max 0. (job.started -. job.enqueued) in
-      match job.outcome with
-      | Some (Ok art) -> (art, queue_s)
-      | Some (Error e) -> raise e
-      | None -> assert false
-    end
-
-  let stop t =
-    Mutex.lock t.lock;
-    t.stopped <- true;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.lock;
-    match t.worker with
-    | Some d ->
-        t.worker <- None;
-        Domain.join d
-    | None -> ()
-
-  let counts t =
-    Mutex.lock t.lock;
-    let r = (t.batches, t.jobs) in
-    Mutex.unlock t.lock;
-    r
-end
 
 (* ---------- the listener ---------- *)
 
@@ -174,10 +48,7 @@ let run ?(handlers = Serve.default_handlers) ?(max_clients = 8) ?on_ready
   (* A client that disconnects mid-response must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let fd, addr, cleanup = listen_fd endpoint in
-  let batcher = Batch.create () in
-  let handlers =
-    { handlers with Serve.scheduler = Some (Batch.schedule batcher) }
-  in
+  let misses_before = (Artifact.stats ()).Cache.misses in
   let stop = Atomic.make false in
   (* Unblock the blocking [accept] from a handler domain that just saw a
      [shutdown] request: a throwaway self-connection. *)
@@ -232,7 +103,6 @@ let run ?(handlers = Serve.default_handlers) ?(max_clients = 8) ?on_ready
   accept_loop ();
   Queue.iter Domain.join workers;
   Queue.clear workers;
-  Batch.stop batcher;
   cleanup ();
-  let batches, batched_jobs = Batch.counts batcher in
-  { connections = !connections; batches; batched_jobs }
+  let cold = (Artifact.stats ()).Cache.misses - misses_before in
+  { connections = !connections; batches = cold; batched_jobs = cold }

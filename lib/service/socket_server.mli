@@ -3,11 +3,8 @@
     {!Serve} line protocol in its own domain against the process-wide
     {!Artifact} cache.  The cache's promise-per-key semantics already
     guarantee each distinct digest compiles exactly once no matter how
-    many clients race; on top of that, cold compiles from all connections
-    are coalesced by a batching scheduler (one worker domain drains
-    everything queued at that moment as one traced batch), and each
-    response reports its queue latency ([queue_ms]) separately from its
-    compile latency ([compile_ms]). *)
+    many clients race.  A cold compile runs inline on the domain of the
+    connection that requested it. *)
 
 type endpoint =
   | Unix_path of string
@@ -19,8 +16,13 @@ val endpoint_name : endpoint -> string
 
 type stats = {
   connections : int;  (** connections accepted over the daemon's life *)
-  batches : int;  (** batched compile invocations the worker ran *)
-  batched_jobs : int;  (** cold compiles that went through the batcher *)
+  batches : int;
+      (** cold compiles: the artifact cache's [misses] delta over {!run},
+          i.e. every computation (pipeline compile or store restore) the
+          cache started while the daemon ran.  Each cold compile is its
+          own batch, so this equals [batched_jobs]; perfbench reads both
+          to compute jobs per batch. *)
+  batched_jobs : int;  (** the same count as [batches] *)
 }
 
 val run :
@@ -30,10 +32,9 @@ val run :
   endpoint ->
   stats
 (** Serve until some client sends [shutdown].  Blocking: returns only
-    after the listener closed, every connection domain joined and the
-    batch worker stopped.  [handlers] supplies demo resolution and the
-    run handler exactly as for {!Serve.serve} (its [scheduler] field is
-    replaced by the batcher); [max_clients] bounds concurrently live
-    connection domains (default 8) — further clients queue in the
-    listen backlog; [on_ready] fires once the socket is listening
-    (tests use it to know when to connect). *)
+    after the listener closed and every connection domain joined.
+    [handlers] supplies demo resolution and the run handler exactly as
+    for {!Serve.serve}; [max_clients] bounds concurrently live connection
+    domains (default 8), and with them concurrent cold compiles —
+    further clients queue in the listen backlog; [on_ready] fires once
+    the socket is listening (tests use it to know when to connect). *)

@@ -72,7 +72,10 @@ esac
 # Socket-daemon smoke: start a Unix-socket daemon with a throwaway
 # artifact store, hit it with two concurrent clients requesting the same
 # digest, and check one compiled cold while the other was answered from
-# the cache (miss+hit in some order across the two).  The daemon and the
+# the cache (miss+hit in some order across the two).  Then race two
+# clients requesting distinct digests: each compiles cold on its own
+# connection domain, and the daemon's shutdown line must count all three
+# cold compiles.  The daemon and the
 # clients run the built binary directly: dune exec holds the build lock
 # for the life of the program, so a dune-exec'd daemon would deadlock
 # every dune-exec'd client.
@@ -100,6 +103,13 @@ printf 'compile demo=heat2d ranks=2\n' \
   | "$stencilc" --connect "$sock" > "$sockdir/c2.out" &
 c2=$!
 wait "$c1" "$c2"
+printf 'compile demo=heat2d ranks=4\n' \
+  | "$stencilc" --connect "$sock" > "$sockdir/c3.out" &
+c3=$!
+printf 'compile demo=heat2d ranks=2 strategy=slice1d\n' \
+  | "$stencilc" --connect "$sock" > "$sockdir/c4.out" &
+c4=$!
+wait "$c3" "$c4"
 printf 'shutdown\n' | "$stencilc" --connect "$sock" > /dev/null
 wait "$daemon_pid" || {
   echo "check.sh: socket daemon exited non-zero" >&2
@@ -118,6 +128,20 @@ case "$both" in
   *) echo "check.sh: socket daemon: no client was answered from the cache" >&2
      rm -rf "$sockdir"; exit 1 ;;
 esac
+for out in "$sockdir/c3.out" "$sockdir/c4.out"; do
+  case "$(cat "$out")" in
+    "ok "*"cached=miss"*) ;;
+    *) echo "check.sh: socket daemon: distinct digest not compiled cold:" >&2
+       cat "$out" >&2
+       rm -rf "$sockdir"; exit 1 ;;
+  esac
+done
+grep -q "; 3 cold compile(s)" "$sockdir/daemon.log" || {
+  echo "check.sh: socket daemon did not report 3 cold compiles" >&2
+  cat "$sockdir/daemon.log" >&2
+  rm -rf "$sockdir"
+  exit 1
+}
 ls "$sockdir/store"/*.art > /dev/null 2>&1 || {
   echo "check.sh: socket daemon persisted nothing to the artifact store" >&2
   rm -rf "$sockdir"

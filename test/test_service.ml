@@ -259,7 +259,6 @@ let test_serve_protocol () =
       Service.Serve.resolve_demo =
         (fun name -> if name = "heat-demo" then Some (heat_module ()) else None);
       run = None;
-      scheduler = None;
     }
   in
   let req_r, req_w = Unix.pipe () in
@@ -342,7 +341,6 @@ let test_serve_desync_regression () =
       Service.Serve.resolve_demo =
         (fun name -> if name = "heat-demo" then Some (heat_module ()) else None);
       run = None;
-      scheduler = None;
     }
   in
   let req_r, req_w = Unix.pipe () in
@@ -416,7 +414,6 @@ let test_socket_concurrent_clients () =
           | "h4" -> Some (heat_module ~timesteps: 4 ())
           | _ -> None);
       run = None;
-      scheduler = None;
     }
   in
   let ready = Atomic.make false in
@@ -454,13 +451,19 @@ let test_socket_concurrent_clients () =
             (Printf.sprintf "compile demo=%s ranks=2\n" demo);
           flush oc;
           match In_channel.input_line ic with
-          | Some resp
-            when String.length resp >= 3
-                 && String.sub resp 0 3 = "ok "
-                 && contains resp "digest="
-                 && contains resp "compile_ms=" ->
-              incr ok
-          | Some _ | None -> ()
+          | Some resp -> (
+              (* A compile answer carries exactly these four keys, and no
+                 queue time: compiles run on the connection's domain. *)
+              match String.split_on_char ' ' resp with
+              | "ok" :: words
+                when List.sort compare
+                       (List.map
+                          (fun w -> List.hd (String.split_on_char '=' w))
+                          words)
+                     = [ "cached"; "compile_ms"; "digest"; "exec" ] ->
+                  incr ok
+              | _ -> ())
+          | None -> ()
         done;
         output_string oc "quit\n";
         flush oc;
@@ -488,6 +491,10 @@ let test_socket_concurrent_clients () =
     (s1.Service.Cache.failed_hits - s0.Service.Cache.failed_hits);
   check bool_c "daemon saw all client connections" true
     (server_stats.Service.Socket_server.connections >= 5);
+  check int_c "one batch per cold compile" 2
+    server_stats.Service.Socket_server.batches;
+  check int_c "every cold compile counted" 2
+    server_stats.Service.Socket_server.batched_jobs;
   check bool_c "socket file removed on shutdown" false (Sys.file_exists sock)
 
 (* --- the on-disk artifact store: restart persistence --- *)
@@ -670,12 +677,13 @@ let test_fingerprint_roundtrip () =
 
 (* --- SSA ids under concurrent parse + compile ---
 
-   The daemon's connection domains parse [ir=] payloads while its batch
-   worker runs the pass pipeline, and both draw SSA ids from one
-   process-wide counter.  Two domains parse a printed heat2d module and
-   compile it while a third builds fresh Devito programs and compiles
-   them: every compile must succeed and print to the sequential
-   compile's canonical text. *)
+   The daemon's connection domains each parse [ir=] payloads and run
+   the pass pipeline for their own cold compiles, concurrently, and all
+   of them draw SSA ids from one process-wide counter.  This is the
+   direct regression test for that: two domains parse a printed heat2d
+   module and compile it while a third builds fresh Devito programs and
+   compiles them; every compile must succeed and print to the
+   sequential compile's canonical text. *)
 let test_concurrent_ssa_ids () =
   let target = dist_target ~ranks: 2 in
   let digest m =
