@@ -1,24 +1,20 @@
-(* Performance-regression gate: compare freshly produced BENCH_compile.json
-   / BENCH_scaling.json against checked-in baselines and fail loudly on
-   slowdowns beyond a tolerance band.
+(* Performance-regression gate: compare a freshly produced
+   BENCH_scaling.json against its checked-in baseline and fail loudly on
+   regressions beyond a tolerance band.  Wall times are timed by
+   perfbench/, not gated here.
 
    Absolute wall times are machine speed; comparing them across hosts is
-   meaningless.  The gate therefore checks machine-speed-independent
-   quantities only:
-     - compile rows: the artifact cache's warm_speedup (cold compile /
-       warm hit) may not drop by more than [tolerance] and must stay
-       above an absolute 10x floor; cache counters must reconcile.
-     - scaling rows: only the machine-independent slice is gated — the
-       reference-model curve points (frozen Netmodel.reference constants,
-       deterministic replay) must keep their strong-scaling efficiency
-       within the tolerance band and their per-step traffic exactly, the
-       tuner must never lose to the default decomposition
-       (tuned_vs_default <= 1), and every current validation row must be
-       within its prediction-error bound; calibrated-model rows are
-       host-specific and skipped.
+   meaningless.  The gate therefore checks only the machine-independent
+   slice: the reference-model curve points (frozen Netmodel.reference
+   constants, deterministic replay) must keep their strong-scaling
+   efficiency within the tolerance band and their per-step traffic
+   exactly, the tuner must never lose to the default decomposition
+   (tuned_vs_default <= 1), and every current validation row must be
+   within its prediction-error bound; calibrated-model rows are
+   host-specific and skipped.
    A baseline row missing from the current run fails the gate (a silently
    dropped benchmark is a regression too); rows only present in the
-   current run are reported but pass. *)
+   current run pass. *)
 
 (* --- minimal JSON reader (objects, arrays, numbers, strings, bools,
    null) --- *)
@@ -182,16 +178,6 @@ type outcome = { mutable failures : string list; mutable checked : int }
 let fail_row out fmt =
   Printf.ksprintf (fun msg -> out.failures <- msg :: out.failures) fmt
 
-(* Keyed rows of one BENCH file's "entries" array. *)
-let entries_by_key ~key json =
-  List.filter_map
-    (fun e -> match key e with Some k -> Some (k, e) | None -> None)
-    (jarr (member "entries" json))
-
-(* A wall-time this short is dominated by scheduler noise: timing ratios
-   from runs under it are reported, never gated. *)
-let timing_noise_floor_s = 0.02
-
 let check_exact_num out ~key ~what ~base ~cur =
   match (base, cur) with
   | Some b, Some c ->
@@ -201,105 +187,8 @@ let check_exact_num out ~key ~what ~base ~cur =
           b c
   | _ -> ()
 
-let check_zero out ~key ~what v =
-  match v with
-  | Some d ->
-      out.checked <- out.checked + 1;
-      if d <> 0. then fail_row out "%s: %s is %g (expected 0)" key what d
-  | None -> ()
-
-(* The artifact cache's whole value is warm hits costing a vanishing
-   fraction of a cold compile: gate the machine-independent warm_speedup
-   both against the baseline (tolerance band) and against an absolute
-   floor — a warm hit within 10x of a cold compile means the cache
-   stopped caching.  The on-disk store's value is the same claim across
-   a restart: restart_speedup (cold / store-restore) gets the identical
-   treatment.  Counters must reconcile exactly, failed-entry hits must
-   be zero (this bench compiles nothing that fails — a nonzero count
-   means lookups are being misattributed), and the concurrent-client
-   invariant (N clients, 2 digests, exactly 2 compiles) must hold. *)
-let warm_speedup_floor = 10.
-let restart_speedup_floor = 10.
-
-let compare_compile out ~tolerance ~baseline ~current =
-  let key e = jstr (member "workload" e) in
-  let base_rows = entries_by_key ~key baseline in
-  let cur_rows = entries_by_key ~key current in
-  List.iter
-    (fun (key, b) ->
-      match List.assoc_opt key cur_rows with
-      | None -> fail_row out "%s: row missing from current BENCH_compile" key
-      | Some c ->
-          let num fld e = jnum (member fld e) in
-          let above_floor =
-            (* warm_speedup = cold/warm: a cold compile down at the noise
-               floor makes the ratio meaningless, so don't gate it *)
-            match num "cold_ms" b with
-            | Some ms -> ms /. 1000. >= timing_noise_floor_s /. 2.
-            | None -> false
-          in
-          (match (num "warm_speedup" b, num "warm_speedup" c) with
-          | Some sb, Some sc when above_floor ->
-              out.checked <- out.checked + 1;
-              if sc < warm_speedup_floor then
-                fail_row out
-                  "%s: warm_speedup %.1fx is under the %.0fx floor (cache \
-                   not caching?)"
-                  key sc warm_speedup_floor
-              else if sb > 1. && sc < sb /. (1. +. tolerance) then
-                fail_row out
-                  "%s: warm_speedup regressed %.0fx -> %.0fx (-%.0f%%, \
-                   tolerance %.0f%%)"
-                  key sb sc
-                  (100. *. (1. -. (sc /. sb)))
-                  (100. *. tolerance)
-          | _ -> ());
-          (match (num "restart_speedup" b, num "restart_speedup" c) with
-          | Some sb, Some sc when above_floor ->
-              out.checked <- out.checked + 1;
-              if sc < restart_speedup_floor then
-                fail_row out
-                  "%s: restart_speedup %.1fx is under the %.0fx floor (store \
-                   restore not skipping the pipeline?)"
-                  key sc restart_speedup_floor
-              else if sb > 1. && sc < sb /. (1. +. tolerance) then
-                fail_row out
-                  "%s: restart_speedup regressed %.0fx -> %.0fx (-%.0f%%, \
-                   tolerance %.0f%%)"
-                  key sb sc
-                  (100. *. (1. -. (sc /. sb)))
-                  (100. *. tolerance)
-          | _ -> ());
-          (match jbool (member "counters_ok" c) with
-          | Some ok ->
-              out.checked <- out.checked + 1;
-              if not ok then
-                fail_row out "%s: cache counters do not reconcile" key
-          | None -> ()))
-    base_rows;
-  (* current-run self-checks: machine-independent invariants that must
-     hold wherever the bench ran, baseline or not *)
-  List.iter
-    (fun (key, c) ->
-      check_zero out ~key ~what: "failed_hits" (jnum (member "failed_hits" c));
-      match jbool (member "concurrent_ok" c) with
-      | Some ok ->
-          out.checked <- out.checked + 1;
-          if not ok then
-            fail_row out
-              "%s: concurrent-client invariant violated (expected 2 digests \
-               -> exactly 2 compiles, no failures)"
-              key
-      | None -> ())
-    cur_rows;
-  List.iter
-    (fun (key, _) ->
-      if List.assoc_opt key base_rows = None then
-        Printf.printf "   note: %s is new (no baseline)\n" key)
-    cur_rows
-
-(* BENCH_scaling.json: curves + validation rather than a flat entries
-   array.  Gate only what is machine-independent (see header comment). *)
+(* BENCH_scaling.json's curves and validation rows.  Gate only what is
+   machine-independent (see header comment). *)
 let compare_scale out ~tolerance ~baseline ~current =
   let curve_key e =
     match
@@ -378,7 +267,8 @@ let compare_scale out ~tolerance ~baseline ~current =
       | _ -> ())
     (jarr (member "validation" current))
 
-let gate_file out ~tolerance ~compare ~name ~baseline_dir ~current_dir =
+let gate_file out ~tolerance ~baseline_dir ~current_dir =
+  let name = "BENCH_scaling.json" in
   let bpath = Filename.concat baseline_dir name in
   let cpath = Filename.concat current_dir name in
   if not (Sys.file_exists bpath) then
@@ -387,7 +277,7 @@ let gate_file out ~tolerance ~compare ~name ~baseline_dir ~current_dir =
     fail_row out "%s: current %s does not exist (bench not run?)" name cpath
   else
     match (load_json bpath, load_json cpath) with
-    | baseline, current -> compare out ~tolerance ~baseline ~current
+    | baseline, current -> compare_scale out ~tolerance ~baseline ~current
     | exception Bad_json msg -> fail_row out "%s: unparseable (%s)" name msg
 
 let run ?(baseline_dir : string option) ?(current_dir : string option)
@@ -406,10 +296,7 @@ let run ?(baseline_dir : string option) ?(current_dir : string option)
   Printf.printf "   baseline: %s\n   current:  %s\n   tolerance: %.0f%%\n"
     baseline_dir current_dir (100. *. tolerance);
   let out = { failures = []; checked = 0 } in
-  gate_file out ~tolerance ~compare: compare_compile
-    ~name: "BENCH_compile.json" ~baseline_dir ~current_dir;
-  gate_file out ~tolerance ~compare: compare_scale ~name: "BENCH_scaling.json"
-    ~baseline_dir ~current_dir;
+  gate_file out ~tolerance ~baseline_dir ~current_dir;
   match out.failures with
   | [] ->
       Printf.printf "   PASS: %d check(s), no regression beyond %.0f%%\n\n"

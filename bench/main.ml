@@ -1,17 +1,18 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation (section 6) from the compiled IR and the machine models, and
-   measures real executions of the stack with Bechamel.
+   evaluation (section 6) from the compiled IR and the machine models.
+   Wall-time measurements of the stack come from perfbench/ (python3
+   perfbench/run.py), the one timer; here only `scale` runs real ranks,
+   to calibrate and validate its replay predictions, and `regress` gates
+   the BENCH_scaling.json it writes.
 
    Run with: dune exec bench/main.exe
-   (pass a section name — fig7 fig8 fig9 fig10 fig11 tab1 ablation
-   measured — to run just that section).
+   (pass a section name — fig7 fig8 fig9 fig10 fig11 tab1 ablation — to
+   run just that section).
 
    After each figure section the harness compiles that figure's
    representative workload(s) through the shared pipelines under the Obs
    sink and prints the per-pass time table, attributing compile cost the
-   same way the figures attribute runtime.  The "measured" section is
-   exempt: Bechamel times real compiles there, so instrumentation stays
-   off. *)
+   same way the figures attribute runtime. *)
 
 let sections =
   [
@@ -22,7 +23,6 @@ let sections =
     ("tab1", Bench_tab1.run);
     ("fig11", Bench_fig11.run);
     ("ablation", Bench_ablation.run);
-    ("measured", Bench_measured.run);
   ]
 
 (* Representative compile jobs per figure: the same workloads the section
@@ -86,9 +86,6 @@ let () =
   | "scale" :: rest ->
       Bench_scale.run ~smoke: (List.mem "--smoke" rest) ();
       exit 0
-  | "compile" :: rest ->
-      Bench_compile.run ~smoke: (List.mem "--smoke" rest) ();
-      exit 0
   | "regress" :: rest ->
       (* regress [--baseline DIR] [--current DIR] [--tolerance F] *)
       let rec opt name = function
@@ -126,12 +123,9 @@ let () =
       "  scale [--smoke] (calibrated replay: strong-scaling curves to 1024 \
        ranks)";
     prerr_endline
-      "  compile [--smoke] (artifact cache cold/warm + --serve throughput)";
-    prerr_endline
       "  regress [--baseline DIR] [--current DIR] [--tolerance F]";
     prerr_endline
-      "                  (gate fresh BENCH_compile/BENCH_scaling vs \
-       baselines)";
+      "                  (gate a fresh BENCH_scaling vs its baseline)";
     prerr_endline "  --out-dir DIR   (where BENCH_*.json land; default repo root)";
     exit 1
   end;

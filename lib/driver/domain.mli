@@ -6,6 +6,18 @@ open Ir
 val rank_coords : grid:int list -> int -> int list
 (** Cartesian coordinates of a rank in a row-major grid. *)
 
+val copy_box :
+  src:Interp.Rtval.buffer ->
+  src_at:int list ->
+  dst:Interp.Rtval.buffer ->
+  dst_at:int list ->
+  sizes:int list ->
+  unit
+(** Copy the box of [sizes] cells at logical coordinates [src_at] in [src]
+    to [dst_at] in [dst] with one strided blit ({!Interp.Rtval.blit_strided}).
+    Raises [Interp.Rtval.Runtime_error] when the box does not lie inside
+    both buffers; an empty box copies nothing. *)
+
 val scatter_field :
   global:Interp.Rtval.buffer ->
   grid:int list ->

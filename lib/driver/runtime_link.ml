@@ -260,53 +260,44 @@ module Make (M : Mpi_intf.MPI_CORE) = struct
   let box_size (e : Typesys.exchange) =
     List.fold_left ( * ) 1 e.Typesys.ex_size
 
-  let iter_exchange_box (e : Typesys.exchange) f =
-    let rec nest dims coords =
-      match dims with
-      | [] -> f (List.rev coords)
-      | n :: rest ->
-          for k = 0 to n - 1 do
-            nest rest (k :: coords)
-          done
-    in
-    nest e.Typesys.ex_size []
+  (* Pack and unpack are one bounds-checked box copy each, between the
+     field and a dense payload box of the exchange's size (the same
+     strided copy scatter, gather and the lowered pack/unpack use). *)
+  let box_origin (e : Typesys.exchange) =
+    List.map (fun _ -> 0) e.Typesys.ex_size
 
   let pack_exchange buf origin (e : Typesys.exchange) : Mpi_intf.payload =
-    let open Interp.Rtval in
-    let arr = Array.make (box_size e) 0. in
-    let idx = ref 0 in
-    iter_exchange_box e (fun coords ->
-        let logical =
-          List.mapi
-            (fun d k ->
-              List.nth origin d
-              + List.nth e.Typesys.ex_offset d
-              + List.nth e.Typesys.ex_source_offset d
-              + k)
-            coords
-        in
-        arr.(!idx) <- as_float (get buf logical);
-        incr idx);
-    Mpi_intf.Floats arr
+    let box =
+      Interp.Rtval.alloc_buffer e.Typesys.ex_size buf.Interp.Rtval.elt
+    in
+    Domain.copy_box ~src: buf
+      ~src_at:
+        (List.map2 ( + )
+           (List.map2 ( + ) origin e.Typesys.ex_offset)
+           e.Typesys.ex_source_offset)
+      ~dst: box ~dst_at: (box_origin e) ~sizes: e.Typesys.ex_size;
+    match box.Interp.Rtval.data with
+    | Interp.Rtval.F a -> Mpi_intf.Floats a
+    | Interp.Rtval.I a -> Mpi_intf.Ints a
 
   let unpack_exchange buf origin (e : Typesys.exchange) (p : Mpi_intf.payload)
       =
-    let open Interp.Rtval in
-    let arr =
+    let data =
       match p with
-      | Mpi_intf.Floats a -> a
-      | Mpi_intf.Ints a -> Array.map float_of_int a
+      | Mpi_intf.Floats a -> Interp.Rtval.F a
+      | Mpi_intf.Ints a -> Interp.Rtval.I a
     in
-    let idx = ref 0 in
-    iter_exchange_box e (fun coords ->
-        let logical =
-          List.mapi
-            (fun d k ->
-              List.nth origin d + List.nth e.Typesys.ex_offset d + k)
-            coords
-        in
-        set buf logical (Rf arr.(!idx));
-        incr idx)
+    let box =
+      {
+        Interp.Rtval.shape = e.Typesys.ex_size;
+        lo = box_origin e;
+        data;
+        elt = buf.Interp.Rtval.elt;
+      }
+    in
+    Domain.copy_box ~src: box ~src_at: (box_origin e) ~dst: buf
+      ~dst_at: (List.map2 ( + ) origin e.Typesys.ex_offset)
+      ~sizes: e.Typesys.ex_size
 
   let elt_bytes_of (buf : Interp.Rtval.buffer) =
     match buf.Interp.Rtval.elt with

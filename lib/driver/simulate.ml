@@ -60,9 +60,6 @@ let events_to_obs (events : Mpi_intf.timeline_event list) : unit =
       | Mpi_intf.Span_end name -> Obs.Trace.end_span ~ts ~pid name)
     events
 
-let timeline_to_obs (comm : Mpi_sim.comm) : unit =
-  events_to_obs (Mpi_sim.timeline comm)
-
 (* Substrate-generic SPMD execution.  [make_args] builds each rank's
    argument list (typically scattered local fields); [collect] receives
    the rank context, its argument list and the function results once the

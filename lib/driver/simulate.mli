@@ -10,13 +10,6 @@ open Ir
 
 (** Substrate-generic SPMD execution over any {!Mpi_intf.MPI_CORE}. *)
 module Spmd (M : Mpi_intf.MPI_CORE) : sig
-  module RL : sig
-    type state
-
-    val create : M.rank_ctx -> state
-    val externs_for : state -> Interp.Engine.externs
-  end
-
   val run_spmd :
     ?trace:bool ->
     ?executor:Interp.Executor.t ->
@@ -91,9 +84,6 @@ val events_to_obs : Mpi_intf.timeline_event list -> unit
     the substrate's [ts] as timestamps (logical on sim, wall-clock on
     par), wait/waitall as spans and messages as instants carrying
     src/dst/tag/bytes edges. *)
-
-val timeline_to_obs : Mpi_sim.comm -> unit
-(** [events_to_obs] over a simulator communicator's timeline. *)
 
 val run_serial :
   ?executor:Interp.Executor.t ->

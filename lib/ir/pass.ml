@@ -7,16 +7,6 @@ type t = { name : string; run : Op.t -> Op.t }
 
 let make name run = { name; run }
 
-(* Pattern passes run through the shared Rewriter core, under whichever
-   driver is the session default (worklist unless overridden). *)
-let of_patterns name patterns =
-  {
-    name;
-    run =
-      (fun m ->
-        Rewriter.run ~name (List.map Rewriter.of_legacy patterns) m);
-  }
-
 type pipeline = { pipeline_name : string; passes : t list }
 
 let pipeline pipeline_name passes = { pipeline_name; passes }

@@ -4,11 +4,6 @@ type t = { name : string; run : Op.t -> Op.t }
 
 val make : string -> (Op.t -> Op.t) -> t
 
-val of_patterns : string -> Pattern.pattern list -> t
-(** A pass running a greedy pattern set to fixpoint through the shared
-    {!Rewriter} core (worklist driver unless the session default was
-    changed). *)
-
 type pipeline = { pipeline_name : string; passes : t list }
 
 val pipeline : string -> t list -> pipeline

@@ -1,5 +1,6 @@
-(** Context-free rewrite patterns, in the style of MLIR's pattern
-    rewriting infrastructure; {!Rewriter} drives them to fixpoint. *)
+(** Rewrite outcomes, in the style of MLIR's pattern rewriting
+    infrastructure; {!Rewriter} patterns return them and its driver
+    applies them to fixpoint. *)
 
 (** Outcome of a successful match on one op. *)
 type rewrite =
@@ -9,12 +10,6 @@ type rewrite =
   | Erase
       (** Remove the op.  Only valid when its results have no remaining
           uses; the pattern is responsible for that invariant. *)
-
-type pattern = { pname : string; apply : Op.t -> rewrite option }
-(** [pname] also labels the per-pattern application counters the greedy
-    driver feeds into {!Obs.Patterns} when the Obs sink is installed. *)
-
-val pattern : string -> (Op.t -> rewrite option) -> pattern
 
 val replace_with : Op.t list -> (Value.t * Value.t) list -> rewrite option
 

@@ -474,9 +474,6 @@ type pattern = {
 
 let pattern ?(roots = []) pname rewrite = { pname; roots; rewrite }
 
-let of_legacy (p : Pattern.pattern) =
-  { pname = p.Pattern.pname; roots = []; rewrite = (fun _ op -> p.Pattern.apply op) }
-
 (* --- pattern index: patterns tried per root op name, in list order --- *)
 
 type index = {

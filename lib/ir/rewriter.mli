@@ -119,10 +119,6 @@ val pattern :
   ?roots:string list -> string -> (ctx -> Op.t -> Pattern.rewrite option) ->
   pattern
 
-val of_legacy : Pattern.pattern -> pattern
-(** Wrap a context-free legacy pattern (no declared roots, so it is
-    tried on every op). *)
-
 val run :
   ?dead:(Op.t -> bool) -> name:string -> pattern list -> Op.t -> Op.t
 (** Apply the patterns greedily until fixpoint.

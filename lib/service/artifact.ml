@@ -89,11 +89,6 @@ let persist ~(source : Ir.Op.t) (art : t) =
           p_compile_s = art.compile_s;
           p_canonical = Ir.Printer.canonical_module_string source;
           p_lowered = Ir.Printer.module_to_string art.lowered;
-          (* Marshal fast path: restoring used to re-parse the lowered
-             text, which dominated restore latency; unmarshaling the
-             same module is several times cheaper.  The store drops
-             these bytes on an ABI mismatch and the text remains. *)
-          p_lowered_bin = Some (Marshal.to_string art.lowered []);
         }
       in
       (* Best effort: a full disk must not fail the compile itself. *)
@@ -116,24 +111,9 @@ let restore_persisted ~(target : Core.Pipeline.target)
   then None
   else
     let t0 = Unix.gettimeofday () in
-    let unmarshaled =
-      (* Same-ABI marshal bytes skip the parse; anything wrong with them
-         (truncation, corruption) falls through to the text. *)
-      match p.Store.p_lowered_bin with
-      | None -> None
-      | Some bin -> (
-          match (Marshal.from_string bin 0 : Ir.Op.t) with
-          | lowered -> Some lowered
-          | exception _ -> None)
-    in
-    let reparsed () =
-      match Ir.Parser.parse_string p.Store.p_lowered with
-      | lowered -> Some lowered
-      | exception _ -> None
-    in
-    match (match unmarshaled with Some l -> Some l | None -> reparsed ()) with
-    | None -> None
-    | Some lowered -> (
+    match Ir.Parser.parse_string p.Store.p_lowered with
+    | exception _ -> None
+    | lowered -> (
         match executor.Interp.Executor.compile lowered with
         | exception _ -> None
         | program ->

@@ -1,36 +1,29 @@
 (* The on-disk artifact store: one file per digest holding everything a
    restarted daemon needs to skip the pass pipeline — the canonical source
    rendering (for integrity re-hashing), the fully lowered module text,
-   and the metadata that keyed the compilation.  Pure I/O: digests are
-   validated by the caller (Artifact), which owns the hash recipe.
+   and the metadata that keyed the compilation.  The content-hash digest
+   is validated by the caller (Artifact), which owns its recipe.
 
    File format (length-framed, so module text needs no quoting):
 
-     stencilc-artifact v2
+     stencilc-artifact v3
      digest <hex>
      executor <name>
      target <fingerprint>
      compile_s <float>
-     abi <runtime tag>
+     lowered_digest <hex of the lowered-module text>
      canonical <nbytes>
      <nbytes of canonical IR>
      lowered <nbytes>
      <nbytes of lowered-module text>
-     lowered_bin <nbytes>
-     <nbytes of marshaled lowered module, possibly 0>
 
-   The [lowered_bin] segment is a restore fast path: unmarshaling the
-   lowered module is several times cheaper than re-parsing its text, and
-   restore latency is the store's whole point.  Marshal bytes are only
-   meaningful to the runtime that wrote them, so the segment is keyed by
-   the [abi] header — a loader whose own tag differs drops the bytes
-   (returns [p_lowered_bin = None]) and the caller re-parses the text,
-   which is always present and always authoritative.
+   The store itself checks the lowered text against [lowered_digest], so
+   an edited or truncated lowered module is never served.
 
    Writes are atomic (temp file + rename), so a crashed or concurrent
    writer can never leave a half-written artifact behind; unreadable or
-   malformed files (including v1 files from before the fast path) load
-   as [None] and the caller falls back to a full compile. *)
+   malformed files (including files of the older v2 format) load as
+   [None] and the caller falls back to a full compile. *)
 
 type persisted = {
   p_digest : string;
@@ -39,15 +32,10 @@ type persisted = {
   p_compile_s : float;  (* the original cold-compile seconds *)
   p_canonical : string;
   p_lowered : string;
-  p_lowered_bin : string option;  (* Marshal bytes, same-ABI loads only *)
 }
 
-(* Marshal bytes survive on disk across rebuilds, but only the writing
-   runtime can trust them: the tag pins the OCaml version and the store
-   schema generation (bump [schema] whenever the marshaled type's layout
-   changes). *)
-let schema = 1
-let abi_tag = Printf.sprintf "ocaml-%s/schema-%d" Sys.ocaml_version schema
+let magic = "stencilc-artifact v3"
+let text_digest s = Digest.to_hex (Digest.string s)
 
 type t = { dir : string; max_bytes : int option }
 
@@ -148,19 +136,16 @@ let save t (p : persisted) =
   Fun.protect
     ~finally: (fun () -> close_out_noerr oc)
     (fun () ->
-      Printf.fprintf oc "stencilc-artifact v2\n";
+      Printf.fprintf oc "%s\n" magic;
       Printf.fprintf oc "digest %s\n" p.p_digest;
       Printf.fprintf oc "executor %s\n" p.p_executor;
       Printf.fprintf oc "target %s\n" p.p_target;
       Printf.fprintf oc "compile_s %.9e\n" p.p_compile_s;
-      Printf.fprintf oc "abi %s\n" abi_tag;
+      Printf.fprintf oc "lowered_digest %s\n" (text_digest p.p_lowered);
       Printf.fprintf oc "canonical %d\n" (String.length p.p_canonical);
       output_string oc p.p_canonical;
       Printf.fprintf oc "lowered %d\n" (String.length p.p_lowered);
-      output_string oc p.p_lowered;
-      let bin = Option.value p.p_lowered_bin ~default: "" in
-      Printf.fprintf oc "lowered_bin %d\n" (String.length bin);
-      output_string oc bin);
+      output_string oc p.p_lowered);
   Sys.rename tmp final;
   enforce_cap t ~keep: p.p_digest
 
@@ -183,15 +168,15 @@ let load t ~digest : persisted option =
     else
       let parse ic =
         let ( let* ) = Option.bind in
-        let* magic = In_channel.input_line ic in
-        if magic <> "stencilc-artifact v2" then None
+        let* first = In_channel.input_line ic in
+        if first <> magic then None
         else
           let* p_digest = header_value ic "digest" in
           let* p_executor = header_value ic "executor" in
           let* p_target = header_value ic "target" in
           let* compile_s = header_value ic "compile_s" in
           let* p_compile_s = float_of_string_opt compile_s in
-          let* abi = header_value ic "abi" in
+          let* lowered_digest = header_value ic "lowered_digest" in
           let segment keyword =
             let* n = header_value ic keyword in
             let* n = int_of_string_opt n in
@@ -203,8 +188,8 @@ let load t ~digest : persisted option =
           in
           let* p_canonical = segment "canonical" in
           let* p_lowered = segment "lowered" in
-          let* bin = segment "lowered_bin" in
-          if p_digest <> digest then None
+          if p_digest <> digest || text_digest p_lowered <> lowered_digest
+          then None
           else
             Some
               {
@@ -214,10 +199,6 @@ let load t ~digest : persisted option =
                 p_compile_s;
                 p_canonical;
                 p_lowered;
-                (* Foreign-runtime marshal bytes are dropped, not an
-                   error: the text is always there to re-parse. *)
-                p_lowered_bin =
-                  (if abi = abi_tag && bin <> "" then Some bin else None);
               }
       in
       (try In_channel.with_open_bin file parse with Sys_error _ -> None)

@@ -3,8 +3,9 @@
     each artifact, so a restarted daemon can skip the pass pipeline and
     re-run only the executor's [compile] step.  One atomic file per digest
     ([<dir>/<digest>.art], temp-file + rename); corrupt or truncated files
-    load as [None].  Pure I/O — {!Artifact} owns the digest recipe and
-    validates integrity on load. *)
+    load as [None].  The file carries a digest of the lowered text, checked
+    on every load; {!Artifact} owns the content-hash recipe and re-checks
+    the canonical text against it. *)
 
 type persisted = {
   p_digest : string;  (** hex content hash, also the filename stem *)
@@ -13,11 +14,6 @@ type persisted = {
   p_compile_s : float;  (** the original cold-compile seconds *)
   p_canonical : string;  (** canonical rendering of the source module *)
   p_lowered : string;  (** textual rendering of the lowered module *)
-  p_lowered_bin : string option;
-      (** marshaled lowered module — a restore fast path that skips
-          re-parsing [p_lowered].  Only surfaced when the file was
-          written by the same runtime (ABI tag match); absent otherwise,
-          and the text is always authoritative. *)
 }
 
 type t
@@ -38,7 +34,8 @@ val save : t -> persisted -> unit
 
 val load : t -> digest:string -> persisted option
 (** The persisted artifact for a digest, or [None] when absent, corrupt,
-    or mislabeled (stored digest must equal the requested one). *)
+    mislabeled (stored digest must equal the requested one), or when the
+    lowered text no longer matches the digest written beside it. *)
 
 val list : t -> string list
 (** All digests present, sorted. *)

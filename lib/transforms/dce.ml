@@ -6,9 +6,9 @@
 
 open Ir
 
-let run ?max_iters:_ (m : Op.t) : Op.t =
+let run (m : Op.t) : Op.t =
   let ws = Rewriter.Workspace.of_op m in
   ignore (Rewriter.erase_dead ~removable: Effects.removable_if_unused ws);
   Rewriter.Workspace.to_op ws
 
-let pass = Pass.make "dce" (fun m -> run m)
+let pass = Pass.make "dce" run

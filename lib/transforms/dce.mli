@@ -1,7 +1,7 @@
 (** Dead code elimination: remove side-effect-free ops whose results are
     never used, as one cascading erasure walk on the shared
-    {!Ir.Rewriter} workspace.  [max_iters] is accepted for compatibility
-    and ignored: the use-count cascade needs no fixpoint iteration. *)
+    {!Ir.Rewriter} workspace; the use-count cascade needs no fixpoint
+    iteration. *)
 
-val run : ?max_iters:int -> Ir.Op.t -> Ir.Op.t
+val run : Ir.Op.t -> Ir.Op.t
 val pass : Ir.Pass.t

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Repo check: formatting, full build, full test suite, smoke runs of the
-# parallel (OCaml-domains) execution path through the CLI, the compile and
-# scale bench smokes, and the benchmark regression gate (fresh smoke
-# numbers vs the checked-in baselines under bench/baselines/).
+# parallel (OCaml-domains) execution path through the CLI, the scale bench
+# smoke, and the benchmark regression gate (the fresh smoke record vs the
+# checked-in baseline under bench/baselines/).
 # Run from anywhere; operates on the repo root.
 #
 # Usage: check.sh [--smoke]
@@ -169,43 +169,34 @@ case "$tune_out" in
   *) echo "check.sh: --autotune did not choose a decomposition" >&2; exit 1 ;;
 esac
 
-# Bench smokes write into a scratch dir (never clobbering the committed
-# full-size BENCH_*.json at the repo root), then the regression gate
-# compares them against the checked-in baselines.
+# Bench smoke: bench scale runs once, from a scratch cwd.  Its artifact
+# must land at the repo root regardless of the cwd the binary runs from
+# (the writers resolve paths against the root), and the regression gate
+# then compares that same record against the checked-in baseline.  The
+# committed full-size BENCH_scaling.json is saved first and put back by
+# the EXIT trap, so a failure anywhere below leaves it in the working
+# tree.
 tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"' EXIT
-dune exec bench/main.exe -- compile --smoke --out-dir "$tmpdir" > /dev/null
-dune exec bench/main.exe -- scale --smoke --out-dir "$tmpdir" > /dev/null
-test -f "$tmpdir/BENCH_scaling.json" || {
-  echo "check.sh: bench scale did not emit BENCH_scaling.json" >&2
-  exit 1
-}
-# bench scale is the one alpha-beta calibration: its record must carry
-# the fit verdict.
-grep -q '"netmodel": {[^}]*"fit_ok":' "$tmpdir/BENCH_scaling.json" || {
-  echo "check.sh: BENCH_scaling.json has no netmodel record with fit_ok" >&2
-  exit 1
-}
-dune exec bench/main.exe -- regress --current "$tmpdir"
-
-# Bench artifacts must land at the repo root regardless of the cwd the
-# binary runs from (the writers resolve paths against the root).  The
-# committed artifact is saved first and put back by the EXIT trap, so a
-# failure anywhere below leaves it in the working tree: this check only
-# probes path resolution.
-saved="$tmpdir/BENCH_compile.json.saved"
-cp "$root/BENCH_compile.json" "$saved"
-trap 'mv -f "$saved" "$root/BENCH_compile.json"; rm -rf "$tmpdir"' EXIT
-rm -f "$root/BENCH_compile.json"
+saved="$tmpdir/BENCH_scaling.json.saved"
+cp "$root/BENCH_scaling.json" "$saved"
+trap 'mv -f "$saved" "$root/BENCH_scaling.json"; rm -rf "$tmpdir"' EXIT
+rm -f "$root/BENCH_scaling.json"
 rundir="$tmpdir/rundir"
 mkdir "$rundir"
-(cd "$rundir" && "$root/_build/default/bench/main.exe" compile --smoke > /dev/null)
-test -f "$root/BENCH_compile.json" || {
-  echo "check.sh: BENCH_compile.json did not land at the repo root" >&2
+(cd "$rundir" && "$root/_build/default/bench/main.exe" scale --smoke > /dev/null)
+test -f "$root/BENCH_scaling.json" || {
+  echo "check.sh: BENCH_scaling.json did not land at the repo root" >&2
   exit 1
 }
 if ls "$rundir"/BENCH_*.json > /dev/null 2>&1; then
   echo "check.sh: bench artifacts leaked into the run cwd" >&2
   exit 1
 fi
+# bench scale is the one alpha-beta calibration: its record must carry
+# the fit verdict.
+grep -q '"netmodel": {[^}]*"fit_ok":' "$root/BENCH_scaling.json" || {
+  echo "check.sh: BENCH_scaling.json has no netmodel record with fit_ok" >&2
+  exit 1
+}
+dune exec bench/main.exe -- regress
 echo "check.sh: all checks passed"

@@ -310,7 +310,7 @@ let test_pass_stats_one_entry_per_pass () =
 let test_pattern_apps_counted () =
   with_obs (fun () ->
       let erase_nop =
-        Pattern.pattern "erase-nop" (fun op ->
+        Rewriter.pattern "erase-nop" (fun _ op ->
             if op.Op.name = "test.nop" then Some Pattern.Erase else None)
       in
       let m =
@@ -318,7 +318,11 @@ let test_pattern_apps_counted () =
           [ Op.make "test.nop"; Op.make "test.keep"; Op.make "test.nop" ]
       in
       let pl =
-        Pass.pipeline "pattern-test" [ Pass.of_patterns "nop-elim" [ erase_nop ] ]
+        Pass.pipeline "pattern-test"
+          [
+            Pass.make "nop-elim" (fun m ->
+                Rewriter.run ~name: "nop-elim" [ erase_nop ] m);
+          ]
       in
       let m' = Pass.run_pipeline pl m in
       check int_c "nops erased" 0 (Transforms.Statistics.count m' "test.nop");

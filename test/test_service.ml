@@ -12,10 +12,16 @@ let check = Alcotest.check
 let bool_c = Alcotest.bool
 let int_c = Alcotest.int
 
-let contains hay needle =
+let index_of hay needle =
   let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  let rec go i =
+    if i + nn > nh then None
+    else if String.sub hay i nn = needle then Some i
+    else go (i + 1)
+  in
   go 0
+
+let contains hay needle = index_of hay needle <> None
 
 (* The heat2d demo as stencilc builds it; constructing it twice allocates
    fresh SSA value ids throughout, which the canonical print must hide. *)
@@ -247,7 +253,9 @@ let test_artifact_counters () =
     (a2.Service.Artifact.compile_s = 0.);
   check int_c "one miss" 1
     (s1.Service.Cache.misses - s0.Service.Cache.misses);
-  check int_c "one hit" 1 (s1.Service.Cache.hits - s0.Service.Cache.hits)
+  check int_c "one hit" 1 (s1.Service.Cache.hits - s0.Service.Cache.hits);
+  check int_c "no failed hits" 0
+    (s1.Service.Cache.failed_hits - s0.Service.Cache.failed_hits)
 
 (* --- the --serve protocol --- *)
 
@@ -522,25 +530,36 @@ let test_store_restart_persistence () =
       let m = heat_module () in
       let target = dist_target ~ranks: 2 in
       let executor = Exec_compile.executor in
-      let a1, f1 = Service.Artifact.get_cached ~executor ~target m in
-      check bool_c "cold compile is a miss" true (f1 = `Miss);
-      check bool_c "artifact persisted" true
-        (Service.Store.list store = [ a1.Service.Artifact.digest ]);
-      (* "Restart": drop the in-memory cache, keep the store.  The next
-         request must come back from disk (pipeline skipped), not from a
-         cold compile. *)
-      Service.Artifact.clear ();
-      let a2, f2 = Service.Artifact.get_cached ~executor ~target m in
-      check bool_c "restart answers from the store" true (f2 = `Store);
-      check bool_c "same digest" true
-        (a1.Service.Artifact.digest = a2.Service.Artifact.digest);
-      check bool_c "same lowered module" true
-        (Printer.canonical_module_string a1.Service.Artifact.lowered
-        = Printer.canonical_module_string a2.Service.Artifact.lowered);
-      (* ... and the restored program executes: instantiate both and the
-         restore is hit-equivalent thereafter. *)
-      let _, f3 = Service.Artifact.get_cached ~executor ~target m in
-      check bool_c "second request is a plain hit" true (f3 = `Hit);
+      (* Under the Obs sink every pipeline pass records a stat: the cold
+         compile records some, a store restore and a cache hit none. *)
+      Test_obs.with_obs (fun () ->
+          let a1, f1 = Service.Artifact.get_cached ~executor ~target m in
+          check bool_c "cold compile is a miss" true (f1 = `Miss);
+          check bool_c "cold compile runs the pass pipeline" true
+            (Obs.Passes.stats () <> []);
+          Obs.Passes.clear ();
+          check bool_c "artifact persisted" true
+            (Service.Store.list store = [ a1.Service.Artifact.digest ]);
+          (* "Restart": drop the in-memory cache, keep the store.  The
+             next request must come back from disk (pipeline skipped),
+             not from a cold compile. *)
+          Service.Artifact.clear ();
+          let a2, f2 = Service.Artifact.get_cached ~executor ~target m in
+          check bool_c "restart answers from the store" true (f2 = `Store);
+          check bool_c "same digest" true
+            (a1.Service.Artifact.digest = a2.Service.Artifact.digest);
+          check bool_c "same lowered module" true
+            (Printer.canonical_module_string a1.Service.Artifact.lowered
+            = Printer.canonical_module_string a2.Service.Artifact.lowered);
+          (* ... and the restored program executes: instantiate both and
+             the restore is hit-equivalent thereafter. *)
+          let c0 = Exec_compile.compile_count () in
+          let _, f3 = Service.Artifact.get_cached ~executor ~target m in
+          check bool_c "second request is a plain hit" true (f3 = `Hit);
+          check int_c "the hit compiles nothing" 0
+            (Exec_compile.compile_count () - c0);
+          check int_c "restore and hit run no pipeline pass" 0
+            (List.length (Obs.Passes.stats ())));
       (* warm_start preloads eagerly: clear again, preload, then the very
          first request is already a hit. *)
       Service.Artifact.clear ();
@@ -574,6 +593,66 @@ let test_store_corruption_falls_back () =
       check bool_c "fallback digest intact" true
         (a2.Service.Artifact.digest = digest))
 
+(* --- store integrity: the lowered text is checked, not trusted --- *)
+
+(* Replace the lowered segment of a persisted artifact by [f] of it,
+   re-framing its length but leaving every header (the file digest and
+   the lowered-text digest included) and the canonical source intact. *)
+let rewrite_lowered path f =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  let header = Option.get (index_of s "\nlowered ") + 1 in
+  let body = String.index_from s header '\n' + 1 in
+  let n =
+    int_of_string (String.sub s (header + 8) (body - 1 - (header + 8)))
+  in
+  let lowered = f (String.sub s body n) in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub s 0 header);
+      Printf.fprintf oc "lowered %d\n%s" (String.length lowered) lowered;
+      output_string oc
+        (String.sub s (body + n) (String.length s - body - n)))
+
+(* Persist heat2d, tamper with its lowered segment, restart: the tampered
+   artifact must be recompiled cold ([`Miss]), never served. *)
+let tampered_store_recompiles ~tamper =
+  with_temp_store (fun store ->
+      Service.Artifact.set_store (Some store);
+      Service.Artifact.clear ();
+      let m = heat_module () in
+      let ranks = 2 in
+      let target = dist_target ~ranks in
+      let executor = Exec_compile.executor in
+      let a1, _ = Service.Artifact.get_cached ~executor ~target m in
+      let digest = a1.Service.Artifact.digest in
+      rewrite_lowered
+        (Filename.concat (Service.Store.dir store) (digest ^ ".art"))
+        tamper;
+      check bool_c "tampered file loads as None" true
+        (Service.Store.load store ~digest = None);
+      Service.Artifact.clear ();
+      let _, f = Service.Artifact.get_cached ~executor ~target m in
+      check bool_c "tampered artifact is compiled cold" true (f = `Miss);
+      check bool_c "the cold compile rewrote a loadable artifact" true
+        (Service.Store.load store ~digest <> None);
+      let r = Driver.Harness.run_distributed ~executor ~ranks m in
+      check (Alcotest.float 0.) "distributed == serial" 0.
+        r.Driver.Harness.max_diff_vs_serial)
+
+let test_store_edited_lowered_not_served () =
+  (* One float constant of the lowered module changed, same length. *)
+  tampered_store_recompiles ~tamper: (fun lowered ->
+      let from = "value = 0.5 : f" in
+      match index_of lowered from with
+      | None -> Alcotest.fail "no 0.5 constant in the lowered heat2d"
+      | Some i ->
+          String.sub lowered 0 i ^ "value = 0.7 : f"
+          ^ String.sub lowered (i + String.length from)
+              (String.length lowered - i - String.length from))
+
+let test_store_truncated_lowered_not_served () =
+  tampered_store_recompiles ~tamper: (fun lowered ->
+      String.sub lowered 0 (String.length lowered / 2))
+
 (* --- store size cap: oldest-first eviction --- *)
 
 let test_store_size_cap_evicts_oldest () =
@@ -592,7 +671,6 @@ let test_store_size_cap_evicts_oldest () =
       p_compile_s = 0.1;
       p_canonical = blob;
       p_lowered = blob;
-      p_lowered_bin = None;
     }
   in
   Fun.protect
@@ -756,4 +834,8 @@ let suite =
       test_store_corruption_falls_back;
     Alcotest.test_case "store: size cap evicts oldest" `Quick
       test_store_size_cap_evicts_oldest;
+    Alcotest.test_case "store: edited lowered text is recompiled" `Quick
+      test_store_edited_lowered_not_served;
+    Alcotest.test_case "store: truncated lowered text is recompiled" `Quick
+      test_store_truncated_lowered_not_served;
   ]
