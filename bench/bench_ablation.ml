@@ -144,27 +144,18 @@ let overlap_structure () =
     (Transforms.Statistics.count ov "dmp.swap_wait")
     (Transforms.Statistics.count ov "stencil.apply")
 
+(* The modelled cost of the implemented overlap: fig 8's replayed heat3d
+   step at 512 ranks, face exchanges, with and without split-phase
+   swaps. *)
 let overlap () =
   Printf.printf
-    " -- modeled communication/computation overlap at 512 ranks (heat3d so4):\n";
-  let sched bytes overlap =
-    {
-      Machine.Net.messages = 6;
-      bytes;
-      overlap;
-      host_us_per_msg =
-        (if overlap then Machine.Net.devito_host_us_per_msg
-         else Machine.Net.xdsl_host_us_per_msg);
-    }
-  in
-  let compute = 3e-4 in
+    " -- modeled communication/computation overlap at 512 ranks (heat3d so4, \
+     1024^3):\n";
+  let heat = Bench_fig8.heat () in
   List.iter
     (fun ov ->
-      let t =
-        Machine.Net.step_time Machine.Net.slingshot ~compute
-          (sched 2e6 ov)
-      in
-      Printf.printf "    overlap=%-5b step %.2e s\n" ov t)
+      Printf.printf "    overlap=%-5b step %.2e s\n" ov
+        (Bench_fig8.xdsl_step heat ~ranks: 512 ~overlap: ov))
     [ false; true ]
 
 (* The greedy worklist rewrite driver on whole compile pipelines.  Timing

@@ -13,53 +13,30 @@ let nodes_list = [ 1; 2; 4; 8; 16; 32; 64; 128 ]
 (* One MPI rank per node, 128 threads (fig. 11 uses whole nodes). *)
 let node = Machine.Cpu.archer2_node
 
-let scaling (w : Workloads.psyclone_workload) ~(global : float list) =
-  let total = List.fold_left ( *. ) 1. global in
+(* [w] is built at its paper size (IR only, nothing allocated): each
+   point replays the schedule [Scale.Schedule] derives from it, 2D faces
+   without overlap as in the prototype, under [Scale.Netmodel.slingshot],
+   with compute per step from the CPU model. *)
+let scaling (w : Workloads.psyclone_workload) ~global =
   List.iter
     (fun nodes ->
-      let ranks = nodes in
-      let grid =
-        Core.Decomposition.grid_of Core.Decomposition.Slice2d ~ranks ~rank: 3
+      let s =
+        Scale.Schedule.of_module ~strategy: Core.Decomposition.Slice2d
+          ~mode: Core.Decomposition.Faces ~overlap: false ~ranks: nodes
+          w.Workloads.p_module
       in
-      let local = List.map2 (fun n g -> n /. float_of_int g) global grid in
-      let local_points = List.fold_left ( *. ) 1. local in
-      let f = Workloads.psyclone_features w ~points: local_points in
-      (* Each stencil region re-exchanges its read halos: messages scale
-         with the region count (no overlap in the prototype). *)
-      let dims_cut = List.length (List.filter (fun g -> g > 1) grid) in
-      let face_bytes =
-        List.mapi
-          (fun d ld ->
-            if List.nth grid d > 1 then
-              let others =
-                List.filteri (fun i _ -> i <> d) local
-                |> List.fold_left ( *. ) 1.
-              in
-              2. *. others *. 4.
-            else (ignore ld; 0.))
-          local
-        |> List.fold_left ( +. ) 0.
-      in
-      let swaps = float_of_int f.Machine.Features.stencil_regions in
-      let sched =
-        {
-          Machine.Net.messages =
-            int_of_float (swaps *. float_of_int (2 * dims_cut));
-          bytes = swaps *. face_bytes;
-          overlap = false;
-          host_us_per_msg = Machine.Net.xdsl_host_us_per_msg;
-        }
-      in
+      let local = List.map2 ( / ) global s.Scale.Schedule.grid in
+      let local_points = float_of_int (List.fold_left ( * ) 1 local) in
       let compute =
-        Machine.Cpu.step_time node Machine.Cpu.xdsl_cpu_quality f
+        Machine.Cpu.step_time node Machine.Cpu.xdsl_cpu_quality
+          (Workloads.psyclone_features w ~points: local_points)
           ~points: local_points ~threads: 128
       in
-      let step = Machine.Net.step_time Machine.Net.slingshot ~compute sched in
+      let step = Workloads.slingshot_step_s s ~compute in
       Printf.printf "  %6d  %10.2f    (local %s, comm share %3.0f%%)\n" nodes
-        (total /. step /. 1e9)
-        (String.concat "x" (List.map (fun v -> string_of_int (int_of_float v)) local))
-        (100. *. (1. -. (compute /. step)))
-    )
+        (local_points *. float_of_int nodes /. step /. 1e9)
+        (String.concat "x" (List.map string_of_int local))
+        (100. *. Float.max 0. (1. -. (compute /. step))))
     nodes_list
 
 let run () =
@@ -67,7 +44,9 @@ let run () =
     "== Figure 11: xDSL-PSyclone strong scaling on ARCHER2 (GPts/s) ==\n";
   Printf.printf "   nodes  %10s\n" "xDSL";
   Printf.printf " (a) PW advection [256,256,128], 2D decomposition:\n";
-  scaling (Workloads.pw ()) ~global: [ 256.; 256.; 128. ];
+  let pw = [ 256; 256; 128 ] in
+  scaling (Workloads.pw ~shape: pw ()) ~global: pw;
   Printf.printf " (b) tracer advection [512,512,128], 2D decomposition:\n";
-  scaling (Workloads.traadv ()) ~global: [ 512.; 512.; 128. ];
+  let traadv = [ 512; 512; 128 ] in
+  scaling (Workloads.traadv ~shape: traadv ()) ~global: traadv;
   print_newline ()

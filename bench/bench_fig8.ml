@@ -1,9 +1,12 @@
 (* Figure 8: strong scaling of the 3D so4 heat (a) and acoustic wave (b)
    kernels on ARCHER2 up to 1024 MPI ranks (16384 cores), 1024^3 grid.
-   xDSL-Devito uses the dmp-generated face exchanges without overlap;
-   native Devito's schedule adds diagonal exchanges with computation/
-   communication overlap (Bisbas et al. 2023), giving it the more robust
-   scaling the paper reports. *)
+   Every column replays the schedule [Scale.Schedule] derives from the
+   workload's module under [Scale.Netmodel.slingshot]: xDSL-Devito's
+   dmp-generated face exchanges without overlap, the same faces with the
+   implemented split-phase overlap (xDSL+ovl), and native Devito's
+   schedule, which adds diagonal exchanges with computation/communication
+   overlap (Bisbas et al. 2023).  Compute per step comes from the CPU
+   model, so the columns differ only in schedule and compute quality. *)
 
 open Ir
 
@@ -16,95 +19,54 @@ let threads_per_rank = 16
    inside the CPU model apportions the node bandwidth. *)
 let rank_share_node = Machine.Cpu.archer2_node
 
-(* Swaps the compiled distributed program performs per timestep, measured
-   from the IR after redundant-swap elimination (wave loads two time
-   levels, so it exchanges twice per step — a prototype inefficiency the
-   dmp dialect's one-exchange-per-swap design makes visible). *)
-let swaps_per_step (w : Workloads.devito_workload) =
-  let dm =
-    Core.Swap_elim.run
-      (Core.Distribute.run
-         (Core.Distribute.options ~ranks: 8 ~strategy: Core.Decomposition.Slice3d ())
-         w.Workloads.module_)
-  in
-  max 1 (Transforms.Statistics.count dm "dmp.swap")
+(* The paper-size workloads.  Only IR is built: nothing is allocated at
+   1024^3. *)
+let n = 1024
+let heat () = Workloads.heat ~grid: [ n; n; n ] ~dims: 3 ~so: 4 ()
+let wave () = Workloads.wave ~grid: [ n; n; n ] ~dims: 3 ~so: 4 ()
+let total_points = float_of_int n ** 3.
+let local_points ranks = total_points /. float_of_int ranks
+
+(* One replayed timestep of [w] on [ranks], 3D decomposition. *)
+let step_time (w : Workloads.devito_workload) ~ranks ~mode ~overlap ~compute
+    =
+  Workloads.slingshot_step_s ~compute
+    (Scale.Schedule.of_module ~strategy: Core.Decomposition.Slice3d ~mode
+       ~overlap ~ranks w.Workloads.module_)
+
+let xdsl_compute w ~ranks =
+  let points = local_points ranks in
+  Machine.Cpu.step_time rank_share_node Machine.Cpu.xdsl_cpu_quality
+    (Workloads.xdsl_features w ~points) ~points ~threads: threads_per_rank
+
+let devito_compute w ~ranks =
+  let points = local_points ranks in
+  Machine.Cpu.step_time rank_share_node
+    (Machine.Cpu.devito_cpu_quality
+       ~flop_factor: (Workloads.devito_flop_factor w))
+    (Workloads.devito_features w ~points)
+    ~points ~threads: threads_per_rank
+
+(* The shared stack's face exchanges, with or without overlap. *)
+let xdsl_step w ~ranks ~overlap =
+  step_time w ~ranks ~mode: Core.Decomposition.Faces ~overlap
+    ~compute: (xdsl_compute w ~ranks)
 
 let scaling_row (w : Workloads.devito_workload) ranks =
-  let n = 1024. in
-  let total_points = n ** 3. in
-  let local_points = total_points /. float_of_int ranks in
-  let swaps = swaps_per_step w in
-  (* xDSL: schedule measured from the compiled distributed module. *)
-  let grid3 =
-    Core.Decomposition.grid_of Core.Decomposition.Slice3d ~ranks ~rank: 3
-  in
-  let local_dims = List.map (fun g -> n /. float_of_int g) grid3 in
-  let r =
-    Array.fold_left
-      (fun acc (neg, pos) -> max acc (max (-neg) pos))
-      0 w.Workloads.spec.Devito.Operator.halo
-  in
-  (* Face message per decomposed dim per direction per exchanged field. *)
-  let dims_cut = List.length (List.filter (fun g -> g > 1) grid3) in
-  let face_bytes =
-    List.mapi
-      (fun d ld ->
-        if List.nth grid3 d > 1 then
-          let others =
-            List.filteri (fun i _ -> i <> d) local_dims
-            |> List.fold_left ( *. ) 1.
-          in
-          2. *. float_of_int r *. others *. 4.
-        else (ignore ld; 0.))
-      local_dims
-    |> List.fold_left ( +. ) 0.
-  in
-  let xdsl_sched =
-    {
-      Machine.Net.messages = swaps * 2 * dims_cut;
-      bytes = float_of_int swaps *. face_bytes;
-      overlap = false;
-      host_us_per_msg = Machine.Net.xdsl_host_us_per_msg;
-    }
-  in
-  let devito_sched =
-    Devito.Baseline.comm_schedule w.Workloads.spec ~grid: grid3 ~elt_bytes: 4
-      ~local_interior: (List.map int_of_float local_dims)
-  in
-  let xf = Workloads.xdsl_features w ~points: local_points in
-  let df = Workloads.devito_features w ~points: local_points in
-  let xdsl_compute =
-    Machine.Cpu.step_time rank_share_node Machine.Cpu.xdsl_cpu_quality xf
-      ~points: local_points ~threads: threads_per_rank
-  in
-  let devito_compute =
-    Machine.Cpu.step_time rank_share_node
-      (Machine.Cpu.devito_cpu_quality
-         ~flop_factor: (Workloads.devito_flop_factor w))
-      df ~points: local_points ~threads: threads_per_rank
-  in
-  let xdsl_step =
-    Machine.Net.step_time Machine.Net.slingshot ~compute: xdsl_compute
-      xdsl_sched
-  in
-  (* The implemented split-phase extension: same schedule, wire time hidden
-     behind the interior computation. *)
-  let xdsl_overlap_step =
-    Machine.Net.step_time Machine.Net.slingshot ~compute: xdsl_compute
-      { xdsl_sched with Machine.Net.overlap = true }
-  in
-  let devito_step =
-    Machine.Net.step_time Machine.Net.slingshot ~compute: devito_compute
-      devito_sched
+  let xdsl_step_s = xdsl_step w ~ranks ~overlap: false in
+  let devito_compute_s = devito_compute w ~ranks in
+  let devito_step_s =
+    step_time w ~ranks ~mode: Core.Decomposition.Diagonals ~overlap: true
+      ~compute: devito_compute_s
   in
   let gpts t = total_points /. t /. 1e9 in
   Printf.printf
     "  %6d  %10.1f  %10.1f  %10.1f   (comm share: xDSL %4.0f%%, Devito %4.0f%%)\n"
-    ranks (gpts xdsl_step)
-    (gpts xdsl_overlap_step)
-    (gpts devito_step)
-    (100. *. (1. -. (xdsl_compute /. xdsl_step)))
-    (100. *. Float.max 0. (1. -. (devito_compute /. devito_step)))
+    ranks (gpts xdsl_step_s)
+    (gpts (xdsl_step w ~ranks ~overlap: true))
+    (gpts devito_step_s)
+    (100. *. (1. -. (xdsl_compute w ~ranks /. xdsl_step_s)))
+    (100. *. (1. -. (devito_compute_s /. devito_step_s)))
 
 (* Cross-check: the traffic [Scale.Schedule] derives from the module must
    equal what the simulated MPI run of the same module actually sends;
@@ -167,10 +129,8 @@ let run () =
     "== Figure 8: strong scaling 3D so4 on ARCHER2, 1024^3 (GPts/s) ==\n";
   Printf.printf "   ranks  %10s  %10s  %10s\n" "xDSL" "xDSL+ovl" "Devito";
   Printf.printf " (a) heat diffusion:\n";
-  let heat = Workloads.heat ~dims: 3 ~so: 4 () in
-  List.iter (scaling_row heat) ranks_list;
+  List.iter (scaling_row (heat ())) ranks_list;
   Printf.printf " (b) acoustic wave:\n";
-  let wave = Workloads.wave ~dims: 3 ~so: 4 () in
-  List.iter (scaling_row wave) ranks_list;
+  List.iter (scaling_row (wave ())) ranks_list;
   validate_schedule ();
   print_newline ()

@@ -3,7 +3,9 @@
 
    Functional compilation happens at small grids (features are per-point
    and size-independent); the paper's problem sizes are applied via
-   [Machine.Features.with_points]. *)
+   [Machine.Features.with_points].  The scaling figures (8, 11) build
+   their modules at the paper's sizes too, for the exchange schedules:
+   only IR is built, nothing is allocated. *)
 
 open Ir
 
@@ -78,6 +80,22 @@ let devito_flop_factor (w : devito_workload) =
   let naive = float_of_int (Devito.Symbolic.flops e) in
   if naive = 0. then 1.
   else Float.min 1. (float_of_int (Devito.Baseline.factorized_flops e) /. naive)
+
+(* --- communication (fig. 8/11, ablation) --- *)
+
+(* One replayed timestep of schedule [s] under Slingshot: [compute]
+   seconds of stencil work per step (from the CPU model), spread over the
+   cells the schedule computes, plus the exchanges it posts. *)
+let slingshot_step_s (s : Scale.Schedule.t) ~compute =
+  let model =
+    {
+      Scale.Netmodel.slingshot with
+      compute_s_per_cell =
+        compute /. float_of_int (Scale.Schedule.cells_per_step s);
+    }
+  in
+  (Scale.Replay.run ~model ~emit_timeline: false s).Scale.Replay.p_wall_s
+  /. float_of_int s.Scale.Schedule.steps
 
 (* --- PSyclone workloads (fig. 10/11, table 1) --- *)
 

@@ -4,11 +4,12 @@
    sub-expression elimination, factorization of symmetric finite-difference
    coefficients) before emitting C, and its MPI layer supports diagonal
    halo exchanges with computation/communication overlap (Bisbas et al.
-   2023).  This module reproduces those effects at the symbolic level: it
-   measures the baseline's effective kernel features (flops after symbolic
-   optimization) and communication schedule, which the machine models
-   consume next to the shared-stack ("xDSL-Devito") features measured from
-   the compiled IR. *)
+   2023).  This module reproduces the flop reduction at the symbolic level:
+   it measures the baseline's effective kernel features (flops after
+   symbolic optimization), which the machine models consume next to the
+   shared-stack ("xDSL-Devito") features measured from the compiled IR.
+   The MPI schedule is derived from the compiled module instead
+   ([Scale.Schedule] with [Diagonals] and overlap, bench fig 8). *)
 
 open Symbolic
 
@@ -115,44 +116,4 @@ let features (spec : Operator.t) ~(elt_bytes : int) : Machine.Features.t =
     points_per_step = float_of_int points;
     elt_bytes;
     radius;
-  }
-
-(* Devito's MPI schedule (Bisbas et al. 2023): diagonal exchanges in the
-   cartesian topology and communication/computation overlap.  Diagonals add
-   messages (up to 3^d - 1 neighbors) but tiny volumes; overlap hides most
-   of the cost. *)
-let comm_schedule (spec : Operator.t) ~(grid : int list) ~(elt_bytes : int)
-    ~(local_interior : int list) : Machine.Net.schedule =
-  let dims_decomposed =
-    List.length (List.filter (fun g -> g > 1) grid)
-  in
-  let r = Array.fold_left (fun acc (n, p) -> max acc (max (-n) p)) 0 spec.Operator.halo in
-  (* Face volumes as in the standard scheme. *)
-  let face_bytes =
-    List.mapi
-      (fun d n_d ->
-        if List.nth grid d > 1 then
-          let others =
-            List.filteri (fun i _ -> i <> d) local_interior
-            |> List.fold_left ( * ) 1
-          in
-          2 * r * others
-        else 0 |> fun v -> ignore n_d; v)
-      local_interior
-    |> List.fold_left ( + ) 0
-  in
-  let face_msgs = 2 * dims_decomposed in
-  (* Diagonal neighbors: edges/corners, small volumes r^2 / r^3 scale. *)
-  let diag_msgs =
-    match dims_decomposed with
-    | 0 | 1 -> 0
-    | 2 -> 4
-    | _ -> 12 + 8
-  in
-  {
-    Machine.Net.messages = face_msgs + diag_msgs;
-    bytes =
-      float_of_int ((face_bytes * elt_bytes) + (diag_msgs * r * r * elt_bytes));
-    overlap = true;
-    host_us_per_msg = Machine.Net.devito_host_us_per_msg;
   }

@@ -1,8 +1,10 @@
 (** The native-Devito comparison path (paper §6.1 baseline): reproduces
     standalone Devito's symbolic flop reduction (CSE, factorization of
-    symmetric FD coefficients) and its advanced MPI schedule (diagonal
-    exchanges with computation/communication overlap, Bisbas et al. 2023)
-    at the feature level the machine models consume. *)
+    symmetric FD coefficients) at the feature level the machine models
+    consume.  Devito's MPI schedule (diagonal exchanges with
+    computation/communication overlap, Bisbas et al. 2023) is not modelled
+    here: fig 8 derives it with [Scale.Schedule.of_module ~mode:Diagonals
+    ~overlap:true] and prices it with [Scale.Replay]. *)
 
 val cse_flops : Symbolic.expr -> int
 (** Flops after hash-consing shared subtrees. *)
@@ -12,12 +14,3 @@ val factorized_flops : Symbolic.expr -> int
     symmetric FD weights repeat, so the saving grows with space order. *)
 
 val features : Operator.t -> elt_bytes:int -> Machine.Features.t
-
-val comm_schedule :
-  Operator.t ->
-  grid:int list ->
-  elt_bytes:int ->
-  local_interior:int list ->
-  Machine.Net.schedule
-(** Devito's schedule: face + diagonal messages, overlap enabled, optimized
-    per-message host cost. *)

@@ -289,8 +289,11 @@ let parse_attr_dict st =
     go []
   end
 
+(* Textual ids only name values within one parse: each definition gets a
+   fresh value, so parsing never adopts ids from outside the counter. *)
 let define_value st id ty =
-  let v = Value.with_id id ty in
+  if Hashtbl.mem st.values id then error "redefinition of value %%%d" id;
+  let v = Value.fresh ty in
   Hashtbl.replace st.values id v;
   v
 

@@ -1,5 +1,22 @@
 (* Textual output in MLIR's generic-operation style.  Printer and parser are
-   designed together: everything printed here round-trips through Parser. *)
+   designed together: everything printed here round-trips through Parser.
+
+   SSA names are local to one print, as in MLIR: values are numbered from
+   %0 in order of first appearance.  The parser binds every textual id to
+   a fresh value, so print (parse (print m)) = print m even though the
+   reparsed values carry new ids. *)
+
+let numbering () : Value.t -> int =
+  let ids : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  let next = ref 0 in
+  fun v ->
+    match Hashtbl.find_opt ids (Value.id v) with
+    | Some n -> n
+    | None ->
+        let n = !next in
+        incr next;
+        Hashtbl.add ids (Value.id v) n;
+        n
 
 let pp_attr_dict fmt attrs =
   if attrs <> [] then begin
@@ -12,14 +29,15 @@ let pp_attr_dict fmt attrs =
     Format.fprintf fmt "}"
   end
 
-let rec pp_op ?(indent = 0) fmt (op : Op.t) =
+let rec pp_named ~name ~indent fmt (op : Op.t) =
   let pad = String.make indent ' ' in
+  let pp_value fmt v = Format.fprintf fmt "%%%d" (name v) in
   Format.fprintf fmt "%s" pad;
   if op.results <> [] then begin
     List.iteri
       (fun i v ->
         if i > 0 then Format.fprintf fmt ", ";
-        Value.pp fmt v)
+        pp_value fmt v)
       op.results;
     Format.fprintf fmt " = "
   end;
@@ -27,7 +45,7 @@ let rec pp_op ?(indent = 0) fmt (op : Op.t) =
   List.iteri
     (fun i v ->
       if i > 0 then Format.fprintf fmt ", ";
-      Value.pp fmt v)
+      pp_value fmt v)
     op.operands;
   Format.fprintf fmt ")";
   pp_attr_dict fmt op.attrs;
@@ -36,7 +54,7 @@ let rec pp_op ?(indent = 0) fmt (op : Op.t) =
     List.iteri
       (fun i r ->
         if i > 0 then Format.fprintf fmt ", ";
-        pp_region ~indent fmt r)
+        pp_region ~name ~indent fmt r)
       op.regions;
     Format.fprintf fmt ")"
   end;
@@ -45,20 +63,24 @@ let rec pp_op ?(indent = 0) fmt (op : Op.t) =
     Typesys.pp_ty_list
     (List.map Value.ty op.results)
 
-and pp_region ~indent fmt (r : Op.region) =
+and pp_region ~name ~indent fmt (r : Op.region) =
   Format.fprintf fmt "{\n";
-  List.iter (pp_block ~indent: (indent + 2) fmt) r.blocks;
+  List.iter (pp_block ~name ~indent: (indent + 2) fmt) r.blocks;
   Format.fprintf fmt "%s}" (String.make indent ' ')
 
-and pp_block ~indent fmt (b : Op.block) =
+and pp_block ~name ~indent fmt (b : Op.block) =
   Format.fprintf fmt "%s^(" (String.make (indent - 1) ' ');
   List.iteri
     (fun i v ->
       if i > 0 then Format.fprintf fmt ", ";
-      Value.pp_typed fmt v)
+      Format.fprintf fmt "%%%d : %a" (name v) Typesys.pp_ty (Value.ty v))
     b.args;
   Format.fprintf fmt "):\n";
-  List.iter (fun op -> Format.fprintf fmt "%a\n" (pp_op ~indent) op) b.ops
+  List.iter
+    (fun op -> Format.fprintf fmt "%a\n" (pp_named ~name ~indent) op)
+    b.ops
+
+let pp_op ?(indent = 0) fmt op = pp_named ~name: (numbering ()) ~indent fmt op
 
 let op_to_string op = Format.asprintf "%a" (pp_op ~indent: 0) op
 
@@ -70,26 +92,14 @@ let module_to_string m = Format.asprintf "%a" print_module m
 (* ---------- canonical form (content hashing) ---------- *)
 
 (* A deterministic rendering of a module meant for content-addressing, not
-   for round-tripping: SSA values are renumbered locally (definition
-   order, starting at %0) so two structurally identical modules built at
-   different times — or re-parsed, which allocates fresh ids — print
-   identically, and attribute dictionaries are sorted by key so the hash
-   is insensitive to attribute insertion order (the same normalization the
-   CSE op-key uses since the PR 2 attr-order fix). *)
+   for round-tripping: SSA values are numbered as in the generic print, and
+   attribute dictionaries are sorted by key so the hash is insensitive to
+   attribute insertion order (the same normalization the CSE op-key
+   uses). *)
 
 let canonical_module_string (m : Op.t) : string =
   let buf = Buffer.create 4096 in
-  let ids : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let next = ref 0 in
-  let vid (v : Value.t) : int =
-    match Hashtbl.find_opt ids (Value.id v) with
-    | Some n -> n
-    | None ->
-        let n = !next in
-        incr next;
-        Hashtbl.add ids (Value.id v) n;
-        n
-  in
+  let vid = numbering () in
   let add_ty t = Buffer.add_string buf (Format.asprintf "%a" Typesys.pp_ty t) in
   let add_value v =
     Buffer.add_char buf '%';

@@ -1,5 +1,8 @@
 (** Textual output in MLIR's generic-operation style; everything printed here
-    round-trips through {!Parser}. *)
+    round-trips through {!Parser}.  SSA names are local to one print:
+    values are numbered from [%0] in order of first appearance, so the
+    text does not depend on value-id allocation history and
+    [print (parse (print m)) = print m]. *)
 
 val pp_op : ?indent:int -> Format.formatter -> Op.t -> unit
 val op_to_string : Op.t -> string

@@ -4,23 +4,13 @@
 
 type t = { id : int; ty : Typesys.ty }
 
-(* Shared by every domain: the compile daemon parses on connection
-   domains while its batch worker runs passes, so allocation must never
-   hand out an id twice or move the counter backwards. *)
+(* Shared by every domain: the compile daemon parses and runs passes on
+   several connection domains at once, so allocation must never hand out
+   an id twice.  [fresh] is the only allocator; the parser maps textual
+   ids onto fresh values too. *)
 let counter = Atomic.make 0
 
 let fresh ty = { id = Atomic.fetch_and_add counter 1 + 1; ty }
-
-(* Used only by the parser, which must materialize values with the ids
-   appearing in the source text: raise the counter to [id] unless another
-   domain already moved it past. *)
-let with_id id ty =
-  let rec raise_to () =
-    let cur = Atomic.get counter in
-    if id > cur && not (Atomic.compare_and_set counter cur id) then raise_to ()
-  in
-  raise_to ();
-  { id; ty }
 
 let id v = v.id
 let ty v = v.ty

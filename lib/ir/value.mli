@@ -6,12 +6,8 @@
 type t = { id : int; ty : Typesys.ty }
 
 val fresh : Typesys.ty -> t
-(** Allocate a value with a fresh id. *)
-
-val with_id : int -> Typesys.ty -> t
-(** Materialize a value with a given id (parser only); keeps the internal
-    counter ahead of every explicit id.  Both allocators are safe to call
-    from several domains at once. *)
+(** Allocate a value with a fresh id; safe to call from several domains
+    at once.  The only allocator: parsed values are fresh too. *)
 
 val id : t -> int
 val ty : t -> Typesys.ty

@@ -10,9 +10,10 @@
 
 (* --- clock --- *)
 
-(* [Sys.time] (processor time) keeps the library dependency-free and is
-   plenty for pass-level profiling; tests install a deterministic fake
-   clock through [set_clock]. *)
+(* [Sys.time] keeps the library dependency-free and is plenty for
+   pass-level profiling.  It is processor time summed over every domain
+   of the process, not wall time, so pass times are labelled "cpu ms".
+   Tests install a deterministic fake clock through [set_clock]. *)
 let clock : (unit -> float) ref = ref Sys.time
 let set_clock f = clock := f
 let now () = !clock ()
@@ -311,7 +312,7 @@ module Passes = struct
     let sts = stats () in
     if sts <> [] then begin
       Format.fprintf fmt
-        "// %-14s %-32s %9s %9s %13s %13s %s@." "pipeline" "pass" "wall ms"
+        "// %-14s %-32s %9s %9s %13s %13s %s@." "pipeline" "pass" "cpu ms"
         "verify ms" "ops" "IR bytes" "pattern apps";
       List.iter
         (fun st ->

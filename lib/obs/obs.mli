@@ -9,7 +9,8 @@
     formatting on hot paths. *)
 
 val now : unit -> float
-(** Current clock reading in seconds (default: [Sys.time]). *)
+(** Current clock reading in seconds (default: [Sys.time], the process's
+    processor time summed over all domains — not wall time). *)
 
 val set_clock : (unit -> float) -> unit
 (** Install a different clock (tests use a deterministic fake). *)
@@ -49,7 +50,7 @@ type event = {
 type pass_stat = {
   pipeline : string;
   pass_name : string;
-  wall_s : float;
+  wall_s : float;  (** pass time on the {!now} clock (processor time) *)
   verify_s : float;
   ops_before : int;
   ops_after : int;
@@ -143,7 +144,8 @@ module Passes : sig
 
   val pp_table : Format.formatter -> unit -> unit
   (** Render the recorded stats as an aligned table (nothing when no
-      stats were recorded). *)
+      stats were recorded).  Times are on the {!now} clock, processor
+      time by default, so the time column is headed "cpu ms". *)
 end
 
 (** Per-run counters recorded by the {!Ir.Rewriter} drivers. *)

@@ -34,6 +34,19 @@ let reference =
     nm_source = "reference";
   }
 
+(* HPE Slingshot, the interconnect of the paper's ARCHER2 runs: 1.7 us
+   latency plus 0.4 us per-message host cost, 25 GB/s per NIC.  Pack and
+   unpack keep the frozen [reference] rates so the figures priced under
+   this model do not depend on the host that prints them; callers set
+   [compute_s_per_cell] per point from the CPU model. *)
+let slingshot =
+  {
+    reference with
+    alpha_s = 2.1e-6;
+    beta_s_per_byte = 4e-11;
+    nm_source = "slingshot";
+  }
+
 let msg_cost m ~bytes = m.alpha_s +. (m.beta_s_per_byte *. float_of_int bytes)
 
 let describe m =

@@ -3,10 +3,11 @@
     per-byte transfer cost) and per-unit host rates for compute, halo
     packing and unpacking.
 
-    Models come from three places: {!default} (rough single-host
+    Models come from four places: {!default} (rough single-host
     constants, used when nothing better is known), {!reference} (frozen
     constants that never change — the machine-independent model the
-    bench regression gate replays under), and {!of_fit} / {!calibrate}
+    bench regression gate replays under), {!slingshot} (the paper's
+    interconnect, for the scaling figures), and {!of_fit} / {!calibrate}
     (the {!Analysis.fit_alpha_beta} verdict and host rates from a real
     traced [mpi_par] run). *)
 
@@ -16,13 +17,20 @@ type t = {
   compute_s_per_cell : float;  (** stencil compute cost per output cell *)
   pack_s_per_byte : float;  (** halo pack cost per byte staged *)
   unpack_s_per_byte : float;  (** halo unpack cost per byte drained *)
-  nm_source : string;  (** provenance: "default", "reference", "calibrated", "spec" *)
+  nm_source : string;  (** provenance: "default", "reference", "slingshot", "calibrated", "spec" *)
 }
 
 val default : t
 val reference : t
 (** Frozen constants (never retuned): deterministic replay results
     across machines, for regression-gated scaling curves. *)
+
+val slingshot : t
+(** HPE Slingshot, the interconnect of the paper's ARCHER2 figures:
+    [alpha_s] = 2.1 us (1.7 us latency + 0.4 us per-message host cost),
+    [beta_s_per_byte] = 4e-11 (25 GB/s), pack/unpack at the {!reference}
+    rates.  Its [compute_s_per_cell] is a placeholder; the figures set it
+    per point from [Machine.Cpu]. *)
 
 val msg_cost : t -> bytes:int -> float
 (** [alpha_s + beta_s_per_byte * bytes]. *)

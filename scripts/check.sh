@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repo check: formatting, full build, full test suite, smoke runs of the
 # parallel (OCaml-domains) execution path through the CLI, the scale bench
-# smoke, and the benchmark regression gate (the fresh smoke record vs the
-# checked-in baseline under bench/baselines/).
+# smoke, the fig8/fig11 scaling figures, and the benchmark regression gate
+# (the fresh smoke record vs the checked-in baseline under
+# bench/baselines/).
 # Run from anywhere; operates on the repo root.
 #
 # Usage: check.sh [--smoke]
@@ -184,6 +185,13 @@ rm -f "$root/BENCH_scaling.json"
 rundir="$tmpdir/rundir"
 mkdir "$rundir"
 (cd "$rundir" && "$root/_build/default/bench/main.exe" scale --smoke > /dev/null)
+# The scaling figures price every modelled exchange by replaying the
+# schedule derived from the compiled module; fig8 also fails when that
+# schedule's traffic differs from a simulated run's.  They run from the
+# same scratch cwd, so the leak check below covers them too.
+for fig in fig8 fig11; do
+  (cd "$rundir" && "$root/_build/default/bench/main.exe" "$fig" > /dev/null)
+done
 test -f "$root/BENCH_scaling.json" || {
   echo "check.sh: BENCH_scaling.json did not land at the repo root" >&2
   exit 1

@@ -291,6 +291,33 @@ let test_verify_arith_type_mismatch () =
      Alcotest.fail "expected verification error"
    with Verifier.Verification_error _ -> ())
 
+(* The parser allocates every value through [Value.fresh]: no parsed id
+   may come from the text, so all of them sit above the counter read just
+   before the parse, while the canonical print is unchanged.  A textual id
+   defined twice is a parse error, not a silent shadow. *)
+let test_parse_fresh_values () =
+  let m = Programs.heat2d_timeloop_module ~nx: 8 ~ny: 8 ~steps: 3 in
+  let s = Printer.module_to_string m in
+  let before = Value.id (Value.fresh Typesys.i32) in
+  let m' = Parser.parse_string s in
+  let defined = Op.defined_values m' in
+  check bool_c "module defines values" true (Value.Set.cardinal defined > 0);
+  Value.Set.iter
+    (fun v ->
+      if Value.id v <= before then
+        Alcotest.failf "parsed value %%%d not above counter %d" (Value.id v)
+          before)
+    defined;
+  check string_c "canonical print survives the round trip"
+    (Printer.canonical_module_string m)
+    (Printer.canonical_module_string m');
+  Alcotest.check_raises "redefinition"
+    (Parser.Parse_error "redefinition of value %1") (fun () ->
+      ignore
+        (Parser.parse_string
+           "%1 = \"arith.constant\"() {value = 1 : i32} : () -> (i32)\n\
+            %1 = \"arith.constant\"() {value = 2 : i32} : () -> (i32)"))
+
 let suite =
   [
     Alcotest.test_case "type printing" `Quick test_ty_printing;
@@ -317,4 +344,6 @@ let suite =
     Alcotest.test_case "verify double-def" `Quick test_verify_double_def;
     Alcotest.test_case "verify arith mismatch" `Quick
       test_verify_arith_type_mismatch;
+    Alcotest.test_case "parse allocates fresh values" `Quick
+      test_parse_fresh_values;
   ]

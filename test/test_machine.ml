@@ -11,8 +11,7 @@ let float_c = Alcotest.float 1e-9
 module Workbench = struct
   type w = { module_ : Ir.Op.t; spec : Devito.Operator.t }
 
-  let heat ~dims ~so =
-    let shape = if dims = 2 then [ 16; 16 ] else [ 8; 8; 8 ] in
+  let heat_on shape ~so =
     let g = Devito.Symbolic.grid ~dt: 0.1 shape in
     let u = Devito.Symbolic.function_ ~space_order: so "u" g in
     let eqn =
@@ -22,11 +21,17 @@ module Workbench = struct
     let spec, m = Devito.Operator.operator ~name: "heat" ~timesteps: 1 eqn in
     { module_ = m; spec }
 
+  let heat ~dims ~so =
+    heat_on (if dims = 2 then [ 16; 16 ] else [ 8; 8; 8 ]) ~so
+
   let xdsl_features w ~points =
     Machine.Features.with_points
       (Machine.Features.of_stencil_module ~elt_bytes: 4 w.module_)
       points
 end
+
+(* The 3D so4 heat operator's stencil module on [grid] (IR only). *)
+let heat3d_module ~grid = (Workbench.heat_on grid ~so: 4).Workbench.module_
 
 let heat_features ~dims ~so ~points =
   Workbench.xdsl_features (Workbench.heat ~dims ~so) ~points
@@ -87,27 +92,33 @@ let test_cpu_barrier_effect () =
   check bool_c "gap narrows with size" true (r_big > r_small)
 
 let test_net_alpha_beta () =
-  let spec = Machine.Net.slingshot in
-  let sched messages bytes =
-    { Machine.Net.messages; bytes; overlap = false;
-      host_us_per_msg = Machine.Net.xdsl_host_us_per_msg }
-  in
+  let m = Scale.Netmodel.slingshot in
   (* Latency-dominated vs bandwidth-dominated regimes. *)
-  let tiny = Machine.Net.comm_time spec (sched 8 64.) in
-  let huge = Machine.Net.comm_time spec (sched 8 64e6) in
+  let tiny = Scale.Netmodel.msg_cost m ~bytes: 64 in
+  let huge = Scale.Netmodel.msg_cost m ~bytes: 64_000_000 in
   check bool_c "volume costs" true (huge > tiny);
-  check bool_c "latency floor" true
-    (tiny >= 8. *. spec.Machine.Net.latency_us *. 1e-6)
+  check bool_c "latency floor" true (tiny >= m.Scale.Netmodel.alpha_s);
+  check (Alcotest.float 1e-12) "25 GB/s" (64e6 *. 4e-11)
+    (huge -. m.Scale.Netmodel.alpha_s)
 
+(* A replayed 3D heat schedule (2x2x2 ranks, faces) under Slingshot:
+   split-phase swaps hide wire time behind the interior compute, but the
+   step still costs more than its compute alone. *)
 let test_net_overlap_hides_wire () =
-  let spec = Machine.Net.slingshot in
-  let mk overlap =
-    { Machine.Net.messages = 6; bytes = 4e6; overlap;
-      host_us_per_msg = 2. }
+  let heat3d = heat3d_module ~grid: [ 32; 32; 32 ] in
+  let model = { Scale.Netmodel.slingshot with compute_s_per_cell = 1e-8 } in
+  let step overlap =
+    let s =
+      Scale.Schedule.of_module ~strategy: Core.Decomposition.Slice3d ~overlap
+        ~ranks: 8 heat3d
+    in
+    let p = Scale.Replay.run ~model ~emit_timeline: false s in
+    ( p.Scale.Replay.p_wall_s,
+      float_of_int (s.Scale.Schedule.steps * Scale.Schedule.cells_per_step s)
+      *. model.Scale.Netmodel.compute_s_per_cell )
   in
-  let compute = 1e-3 in
-  let t_no = Machine.Net.step_time spec ~compute (mk false) in
-  let t_ov = Machine.Net.step_time spec ~compute (mk true) in
+  let t_no, _ = step false in
+  let t_ov, compute = step true in
   check bool_c "overlap is faster" true (t_ov < t_no);
   check bool_c "overlap still above compute" true (t_ov > compute)
 
@@ -188,26 +199,38 @@ let test_devito_cse () =
     (Devito.Baseline.cse_flops e);
   check Alcotest.int "naive counts twice" 3 (flops e)
 
-let test_devito_comm_schedule () =
-  let g = Devito.Symbolic.grid ~dt: 0.1 [ 8; 8; 8 ] in
-  let u = Devito.Symbolic.function_ ~space_order: 4 "u" g in
-  let spec, _ =
-    Devito.Operator.operator ~name: "x"
-      (Devito.Symbolic.eq (Devito.Symbolic.Dt u)
-         Devito.Symbolic.(f 0.5 *: laplace u))
+(* Devito's schedule is [Scale.Schedule] with diagonal exchanges and
+   overlap: an interior rank of a 4x4x4 grid talks to all 26 neighbours
+   per swap, while a 1D slab decomposition has no diagonals. *)
+let test_devito_diagonal_schedule () =
+  let m = heat3d_module ~grid: [ 256; 16; 16 ] in
+  let sched strategy =
+    Scale.Schedule.of_module ~strategy ~mode: Core.Decomposition.Diagonals
+      ~overlap: true ~ranks: 64 m
   in
-  let sched3d =
-    Devito.Baseline.comm_schedule spec ~grid: [ 4; 4; 4 ] ~elt_bytes: 4
-      ~local_interior: [ 256; 256; 256 ]
+  let sends s ~rank =
+    List.init (Array.length s.Scale.Schedule.swaps) (fun swap ->
+        List.length (Scale.Schedule.rank_sends s ~swap ~rank))
   in
-  check bool_c "diagonals add messages" true
-    (sched3d.Machine.Net.messages > 6);
-  check bool_c "overlap enabled" true sched3d.Machine.Net.overlap;
-  let sched1d =
-    Devito.Baseline.comm_schedule spec ~grid: [ 64; 1; 1 ] ~elt_bytes: 4
-      ~local_interior: [ 16; 1024; 1024 ]
-  in
-  check Alcotest.int "1D has no diagonals" 2 sched1d.Machine.Net.messages
+  let s3d = sched Core.Decomposition.Slice3d in
+  check Alcotest.(list int) "4x4x4 grid" [ 4; 4; 4 ] s3d.Scale.Schedule.grid;
+  check bool_c "has swaps" true (Array.length s3d.Scale.Schedule.swaps > 0);
+  let interior = (1 * 16) + (1 * 4) + 1 in
+  List.iter
+    (check Alcotest.int "interior rank: 26 sends per swap" 26)
+    (sends s3d ~rank: interior);
+  check bool_c "overlap enabled" true s3d.Scale.Schedule.overlap;
+  check bool_c "split-phase swaps" true
+    (List.exists
+       (function Scale.Schedule.Swap_begin _ -> true | _ -> false)
+       s3d.Scale.Schedule.body);
+  let s1d = sched Core.Decomposition.Slice1d in
+  check Alcotest.(list int) "64x1x1 grid" [ 64; 1; 1 ] s1d.Scale.Schedule.grid;
+  for rank = 0 to 63 do
+    List.iter
+      (fun n -> check bool_c "1D has no diagonals" true (n <= 2))
+      (sends s1d ~rank)
+  done
 
 let suite =
   [
@@ -228,5 +251,5 @@ let suite =
       test_devito_factorization;
     Alcotest.test_case "devito symbolic cse" `Quick test_devito_cse;
     Alcotest.test_case "devito comm schedule" `Quick
-      test_devito_comm_schedule;
+      test_devito_diagonal_schedule;
   ]

@@ -13,26 +13,36 @@ let heat2d ~nx ~ny ~steps = Programs.heat2d_timeloop_module ~nx ~ny ~steps
 (* --- schedule extraction --- *)
 
 (* The symbolic schedule must agree exactly with what an executed run
-   sends: same message count, same byte volume. *)
+   sends: same message count, same byte volume, for face-only and
+   diagonal exchanges (fig 8's Devito schedule), fused and split. *)
 let test_schedule_matches_executed_run () =
   let m = heat2d ~nx: 8 ~ny: 8 ~steps: 3 in
   List.iter
-    (fun overlap ->
-      let s = Scale.Schedule.of_module ~overlap ~ranks: 4 m in
-      let r =
-        Driver.Harness.run_distributed ~substrate: Driver.Harness.Sim ~overlap
-          ~ranks: 4 m
+    (fun (mode, overlap) ->
+      let label =
+        Printf.sprintf "(mode=%s overlap=%b)"
+          (match mode with
+          | Core.Decomposition.Faces -> "faces"
+          | Core.Decomposition.Diagonals -> "diagonals")
+          overlap
       in
-      check int_c
-        (Printf.sprintf "messages (overlap=%b)" overlap)
-        r.Driver.Harness.messages
+      let s = Scale.Schedule.of_module ~mode ~overlap ~ranks: 4 m in
+      let r =
+        Driver.Harness.run_distributed ~substrate: Driver.Harness.Sim ~mode
+          ~overlap ~ranks: 4 m
+      in
+      check int_c ("messages " ^ label) r.Driver.Harness.messages
         (Scale.Schedule.total_messages s);
-      check int_c
-        (Printf.sprintf "bytes (overlap=%b)" overlap)
-        r.Driver.Harness.bytes
+      check int_c ("bytes " ^ label) r.Driver.Harness.bytes
         (Scale.Schedule.total_bytes s);
-      check Alcotest.(list int) "grid" r.Driver.Harness.grid s.Scale.Schedule.grid)
-    [ false; true ]
+      check Alcotest.(list int) ("grid " ^ label) r.Driver.Harness.grid
+        s.Scale.Schedule.grid)
+    [
+      (Core.Decomposition.Faces, false);
+      (Core.Decomposition.Faces, true);
+      (Core.Decomposition.Diagonals, false);
+      (Core.Decomposition.Diagonals, true);
+    ]
 
 let test_schedule_shape () =
   let m = heat2d ~nx: 8 ~ny: 8 ~steps: 5 in
