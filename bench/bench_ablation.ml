@@ -8,9 +8,9 @@
      1D/2D/3D slicing for the same rank count;
    - tiled CPU lowering: loop-structure difference of the contributed
      tiling pipeline (ops and parallel regions);
-   - rewrite driver: wall time and pattern applications of the worklist
-     greedy driver on the fig7 and fig10 compile pipelines (written to
-     BENCH_rewrite.json). *)
+   - rewrite driver: pattern applications of the worklist greedy driver
+     on the fig7 and fig10 compile pipelines (its compile time is
+     perfbench's frontend_ms/lower_ms). *)
 
 open Ir
 
@@ -158,12 +158,10 @@ let overlap () =
         (Bench_fig8.xdsl_step heat ~ranks: 512 ~overlap: ov))
     [ false; true ]
 
-(* The greedy worklist rewrite driver on whole compile pipelines.  Timing
-   runs keep Obs off so the driver pays no instrumentation cost; a
-   separate counted run per pipeline collects pattern applications. *)
+(* The greedy worklist rewrite driver on whole compile pipelines: pattern
+   applications per pipeline, counted through Obs. *)
 let rewrite_driver () =
-  Printf.printf
-    " -- rewrite driver on compile pipelines (best of %d, warm):\n" 5;
+  Printf.printf " -- rewrite driver on compile pipelines:\n";
   let pipelines =
     [
       ( "fig7-heat2d-so2-openmp",
@@ -191,18 +189,6 @@ let rewrite_driver () =
         (Workloads.pw ()).Workloads.p_module );
     ]
   in
-  let time_compile target m =
-    ignore (Core.Pipeline.compile ~verify: false target m);
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      ignore (Core.Pipeline.compile ~verify: false target m);
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let count_pattern_apps target m =
     Obs.enable ();
     Obs.Rewrites.clear ();
@@ -215,30 +201,11 @@ let rewrite_driver () =
     Obs.disable ();
     apps
   in
-  let entries =
-    List.map
-      (fun (label, target, m) ->
-        let wall = time_compile target m in
-        let apps = count_pattern_apps target m in
-        Printf.printf "    %-26s %9.1f us, %4d pattern apps\n" label
-          (wall *. 1e6) apps;
-        (label, wall, apps))
-      pipelines
-  in
-  let json_path = Bench_paths.artifact "BENCH_rewrite.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc "{\n  \"bench\": \"rewrite_driver\",\n  \"entries\": [\n";
-  List.iteri
-    (fun i (label, wall, apps) ->
-      Printf.fprintf oc
-        "    {\"pipeline\": %S, \"driver\": \"worklist\", \"wall_s\": %.9f, \
-         \"pattern_apps\": %d}%s\n"
-        label wall apps
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "    (machine-readable copy: %s)\n" json_path
+  List.iter
+    (fun (label, target, m) ->
+      Printf.printf "    %-26s %4d pattern apps\n" label
+        (count_pattern_apps target m))
+    pipelines
 
 let run () =
   Printf.printf "== Ablations ==\n";

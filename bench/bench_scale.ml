@@ -10,8 +10,8 @@
        bucketed message samples, host rates from the phase breakdown) —
        physical, machine-dependent;
      - "reference": the frozen Scale.Netmodel.reference constants —
-       machine-independent, so curve efficiencies are bit-identical
-       across hosts and the bench regression gate can compare them.
+       machine-independent, so the curves are bit-identical across hosts
+       and the test suite pins every reference row exactly.
 
    Each curve point also records tuned_vs_default: the auto-tuner's best
    replayed wall over the default decomposition's (Slice2d/Faces/
@@ -144,7 +144,7 @@ let calibrate_model ~host_cores (traces : traced list) =
   let base =
     match fit with
     | Ok f -> Scale.Netmodel.of_fit f
-    | Error _ -> Scale.Netmodel.default
+    | Error _ -> Scale.Netmodel.reference
   in
   ( Scale.Netmodel.calibrate ~compute_cells ~compute_s ~pack_bytes: halo_bytes
       ~pack_s ~unpack_bytes: halo_bytes ~unpack_s base,
@@ -218,9 +218,7 @@ let curve (name, m) ~model ~model_name ~rank_counts : curve_row list =
             c_decomposition =
               Printf.sprintf "%s/%s/%s"
                 (Core.Decomposition.strategy_name best.c_strategy)
-                (match best.c_mode with
-                | Core.Decomposition.Faces -> "faces"
-                | Core.Decomposition.Diagonals -> "diagonals")
+                (Core.Decomposition.mode_name best.c_mode)
                 (if best.c_overlap then "overlap" else "no-overlap");
             c_wall_s = best.c_wall_s;
             c_efficiency =
@@ -333,7 +331,7 @@ let run ?(smoke = false) () =
   | Error e ->
       Printf.printf
         "   alpha-beta fit not identified (%s); host rates calibrated over \
-         default alpha/beta\n"
+         reference alpha/beta\n"
         e);
   (* 3. validate the calibrated replay against the measurements *)
   Printf.printf "   %-12s %5s %6s %12s %12s %9s %7s\n" "workload" "ranks"

@@ -2,8 +2,8 @@
    evaluation (section 6) from the compiled IR and the machine models.
    Wall-time measurements of the stack come from perfbench/ (python3
    perfbench/run.py), the one timer; here only `scale` runs real ranks,
-   to calibrate and validate its replay predictions, and `regress` gates
-   the BENCH_scaling.json it writes.
+   to calibrate and validate its replay predictions (the reference-model
+   curves it writes to BENCH_scaling.json are pinned by `dune runtest`).
 
    Run with: dune exec bench/main.exe
    (pass a section name — fig7 fig8 fig9 fig10 fig11 tab1 ablation — to
@@ -86,30 +86,6 @@ let () =
   | "scale" :: rest ->
       Bench_scale.run ~smoke: (List.mem "--smoke" rest) ();
       exit 0
-  | "regress" :: rest ->
-      (* regress [--baseline DIR] [--current DIR] [--tolerance F] *)
-      let rec opt name = function
-        | [] -> None
-        | flag :: v :: _ when flag = name -> Some v
-        | _ :: tl -> opt name tl
-      in
-      let tolerance =
-        match opt "--tolerance" rest with
-        | None -> None
-        | Some s -> (
-            match float_of_string_opt s with
-            | Some f when f >= 0. -> Some f
-            | _ ->
-                prerr_endline ("regress: invalid --tolerance " ^ s);
-                exit 1)
-      in
-      let ok =
-        Bench_regress.run
-          ?baseline_dir: (opt "--baseline" rest)
-          ?current_dir: (opt "--current" rest)
-          ?tolerance ()
-      in
-      exit (if ok then 0 else 1)
   | _ -> ());
   let selected =
     if args = [] then sections
@@ -122,10 +98,6 @@ let () =
     prerr_endline
       "  scale [--smoke] (calibrated replay: strong-scaling curves to 1024 \
        ranks)";
-    prerr_endline
-      "  regress [--baseline DIR] [--current DIR] [--tolerance F]";
-    prerr_endline
-      "                  (gate a fresh BENCH_scaling vs its baseline)";
     prerr_endline "  --out-dir DIR   (where BENCH_*.json land; default repo root)";
     exit 1
   end;

@@ -74,19 +74,6 @@ let distribute_pass ~ranks ~strategy =
   Core.Distribute.pass
     (Core.Distribute.options ~ranks ~strategy: (strategy_of_string strategy) ())
 
-(* --tile 8,8 -> [8; 8]; "" (the default) -> untiled. *)
-let parse_tiles spec =
-  if String.trim spec = "" then []
-  else
-    List.map
-      (fun w ->
-        match int_of_string_opt (String.trim w) with
-        | Some n when n > 0 -> n
-        | _ ->
-            failwith
-              ("--tile expects comma-separated positive ints, got: " ^ spec))
-      (String.split_on_char ',' spec)
-
 (* Execute the module end-to-end on an MPI substrate (--run-par/--run-sim):
    serial reference, distribute + lower, run, gather, compare. *)
 let execute_distributed ~substrate ~ranks ~strategy ~trace_out ~report ~exec
@@ -98,9 +85,11 @@ let execute_distributed ~substrate ~ranks ~strategy ~trace_out ~report ~exec
      emits — so asking for threads without --tile defaults the tiling
      rather than silently running sequential regions. *)
   let tiles =
-    match parse_tiles tile with
-    | [] when threads > 1 -> [ 32; 32 ]
-    | ts -> ts
+    match Core.Pipeline.tiles_of_string tile with
+    | Some [] when threads > 1 -> [ 32; 32 ]
+    | Some ts -> ts
+    | None ->
+        failwith ("--tile expects comma-separated positive ints, got: " ^ tile)
   in
   (match report with
   | None | Some "text" | Some "json" -> ()
@@ -157,7 +146,7 @@ let autotune ~ranks ~netmodel m =
   let model =
     match netmodel with
     | Some spec -> Scale.Netmodel.of_spec spec
-    | None -> Scale.Netmodel.default
+    | None -> Scale.Netmodel.reference
   in
   match Scale.Tune.tune ~model ~ranks m with
   | None ->
@@ -186,9 +175,7 @@ let autotune ~ranks ~netmodel m =
       Format.printf
         "chosen: strategy=%s mode=%s overlap=%b grid=%s predicted=%.6f s@."
         (Core.Decomposition.strategy_name b.Scale.Tune.c_strategy)
-        (match b.Scale.Tune.c_mode with
-        | Core.Decomposition.Faces -> "faces"
-        | Core.Decomposition.Diagonals -> "diagonals")
+        (Core.Decomposition.mode_name b.Scale.Tune.c_mode)
         b.Scale.Tune.c_overlap
         (String.concat "x" (List.map string_of_int b.Scale.Tune.c_grid))
         b.Scale.Tune.c_wall_s;
@@ -652,7 +639,8 @@ let netmodel_arg =
         ~doc:
           "Cost model for --autotune as comma-separated key=value pairs \
            (keys: alpha, beta, compute, pack, unpack; e.g. \
-           'alpha=2e-6,beta=1e-9').  Unset keys use built-in defaults.")
+           'alpha=2e-6,beta=1e-9').  Unset keys keep the frozen reference \
+           model's constants.")
 
 let cmd =
   let doc = "shared stencil compilation stack driver" in

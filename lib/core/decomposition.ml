@@ -99,6 +99,13 @@ let local_interior ~(interior : int list) ~(grid : int list) : int list =
    accesses mix dimensions. *)
 type exchange_mode = Faces | Diagonals
 
+let mode_name = function Faces -> "faces" | Diagonals -> "diagonals"
+
+let mode_of_name = function
+  | "faces" -> Some Faces
+  | "diagonals" -> Some Diagonals
+  | _ -> None
+
 (* The exchange with the neighbor in direction [v] (components in
    {-1,0,+1}): per dimension, a -1/+1 component selects the low/high halo
    slab while 0 spans the interior.  Returns None if any involved

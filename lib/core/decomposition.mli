@@ -46,6 +46,13 @@ val local_interior : interior:int list -> grid:int list -> int list
     exchanges), required for stencils whose accesses mix dimensions. *)
 type exchange_mode = Faces | Diagonals
 
+val mode_name : exchange_mode -> string
+(** ["faces"] or ["diagonals"]: the one spelling of a mode in target
+    fingerprints, the serve protocol, the CLI and the bench records. *)
+
+val mode_of_name : string -> exchange_mode option
+(** Inverse of {!mode_name}. *)
+
 val exchange_for_direction :
   interior:int list ->
   halo:(int * int) array ->

@@ -25,23 +25,37 @@ let target_name = function
   | Gpu _ -> "gpu"
   | Fpga { optimized } -> if optimized then "fpga-optimized" else "fpga-initial"
 
+(* "8,8" -> [8; 8]; "" -> [] (untiled).  Any piece that is not a
+   positive int rejects the whole list. *)
+let tiles_of_string spec =
+  if String.trim spec = "" then Some []
+  else
+    let parts = String.split_on_char ',' spec in
+    let tiles =
+      List.filter_map
+        (fun w ->
+          match int_of_string_opt (String.trim w) with
+          | Some n when n > 0 -> Some n
+          | _ -> None)
+        parts
+    in
+    if List.length tiles = List.length parts then Some tiles else None
+
+let tiles_to_string tiles = String.concat "," (List.map string_of_int tiles)
+
 (* Every configuration knob that changes the pass pipeline must appear
    here: the artifact cache keys on (module digest, target fingerprint). *)
 let target_fingerprint = function
   | Cpu_sequential -> "cpu-sequential"
   | Cpu_openmp { tiles } ->
-      Printf.sprintf "cpu-openmp[tiles=%s]"
-        (String.concat "," (List.map string_of_int tiles))
+      Printf.sprintf "cpu-openmp[tiles=%s]" (tiles_to_string tiles)
   | Distributed_cpu { ranks; strategy; mode; tiles; overlap } ->
       Printf.sprintf
         "distributed-cpu[ranks=%d;strategy=%s;mode=%s;tiles=%s;overlap=%b]"
         ranks
         (Decomposition.strategy_name strategy)
-        (match mode with
-        | Decomposition.Faces -> "faces"
-        | Decomposition.Diagonals -> "diagonals")
-        (String.concat "," (List.map string_of_int tiles))
-        overlap
+        (Decomposition.mode_name mode)
+        (tiles_to_string tiles) overlap
   | Gpu { managed } -> Printf.sprintf "gpu[managed=%b]" managed
   | Fpga { optimized } -> Printf.sprintf "fpga[optimized=%b]" optimized
 
@@ -70,17 +84,12 @@ let target_of_fingerprint (s : string) : target option =
                    String.sub kv (i + 1) (String.length kv - i - 1) )
            | None -> None)
   in
-  let tiles_of v =
-    if v = "" then Some []
-    else
-      let parts = String.split_on_char ',' v in
-      let ints = List.filter_map int_of_string_opt parts in
-      if List.length ints = List.length parts then Some ints else None
-  in
   match (name, body) with
   | "cpu-sequential", None -> Some Cpu_sequential
   | "cpu-openmp", Some body ->
-      let* tiles = Option.bind (List.assoc_opt "tiles" (fields body)) tiles_of in
+      let* tiles =
+        Option.bind (List.assoc_opt "tiles" (fields body)) tiles_of_string
+      in
       Some (Cpu_openmp { tiles })
   | "distributed-cpu", Some body ->
       let fs = fields body in
@@ -93,12 +102,9 @@ let target_of_fingerprint (s : string) : target option =
         | _ -> None
       in
       let* mode =
-        match List.assoc_opt "mode" fs with
-        | Some "faces" -> Some Decomposition.Faces
-        | Some "diagonals" -> Some Decomposition.Diagonals
-        | _ -> None
+        Option.bind (List.assoc_opt "mode" fs) Decomposition.mode_of_name
       in
-      let* tiles = Option.bind (List.assoc_opt "tiles" fs) tiles_of in
+      let* tiles = Option.bind (List.assoc_opt "tiles" fs) tiles_of_string in
       let* overlap =
         Option.bind (List.assoc_opt "overlap" fs) bool_of_string_opt
       in

@@ -19,6 +19,12 @@ type target =
 
 val target_name : target -> string
 
+val tiles_of_string : string -> int list option
+(** The one tile-list grammar, shared by [--tile], the serve protocol's
+    [tile=] and target fingerprints: comma-separated positive ints
+    (["8,8"] is [\[8; 8\]]), or empty for untiled.  [None] when any
+    piece is not a positive int. *)
+
 val target_fingerprint : target -> string
 (** Deterministic rendering of the full target configuration (not just its
     name): two targets with equal fingerprints select identical pass

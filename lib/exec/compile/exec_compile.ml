@@ -876,9 +876,4 @@ let executor : Interp.Executor.t = Interp.Executor.pack (module Compiled)
 
 (* Register with the executor registry so [Interp.Executor.of_name]
    resolves "compiled" wherever this library is linked. *)
-let () = Interp.Executor.register ~alias: [ "compile" ] executor
-
-(* Runtime executor selection, shared by stencilc --exec and the bench
-   harness; kept as thin wrappers over the registry. *)
-let of_name name = Interp.Executor.of_name_opt name
-let names = [ "compiled"; "interp" ]
+let () = Interp.Executor.register executor

@@ -113,38 +113,22 @@ let interpreter = pack (module Interpreter)
 
 (* ---------- the executor registry ---------- *)
 
-(* Backends register themselves at module-initialization time; the
-   interpreter is built in.  Aliases ("interpreter", "compile") resolve to
-   the same packed executor as their primary name. *)
+(* Backends register themselves at module-initialization time under
+   their one name; the interpreter is built in. *)
 
 let registry : (string * t) list ref = ref [ ("interp", interpreter) ]
-let aliases : (string * string) list ref = ref [ ("interpreter", "interp") ]
 
-let register ?(alias = []) (e : t) : unit =
+let register (e : t) : unit =
   if not (List.mem_assoc e.exec_name !registry) then
-    registry := !registry @ [ (e.exec_name, e) ];
-  List.iter
-    (fun a ->
-      if not (List.mem_assoc a !aliases) then
-        aliases := !aliases @ [ (a, e.exec_name) ])
-    alias
+    registry := !registry @ [ (e.exec_name, e) ]
 
 let names () = List.map fst !registry
-
-let find_name name =
-  match List.assoc_opt name !registry with
-  | Some e -> Some e
-  | None -> (
-      match List.assoc_opt name !aliases with
-      | Some primary -> List.assoc_opt primary !registry
-      | None -> None)
-
-let of_name_opt = find_name
+let of_name_opt name = List.assoc_opt name !registry
 
 (* Unknown names fail with the available names spelled out, so a typo'd
    --exec tells the user what would have worked. *)
 let of_name name =
-  match find_name name with
+  match of_name_opt name with
   | Some e -> e
   | None ->
       failwith

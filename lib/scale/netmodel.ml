@@ -11,19 +11,9 @@ type t = {
   nm_source : string;
 }
 
-let default =
-  {
-    alpha_s = 2e-6;
-    beta_s_per_byte = 1e-9;
-    compute_s_per_cell = 1e-8;
-    pack_s_per_byte = 1e-9;
-    unpack_s_per_byte = 1e-9;
-    nm_source = "default";
-  }
-
-(* Frozen forever: the regression gate compares replayed efficiencies
-   produced under this model across machines, so its constants must
-   never track any particular host. *)
+(* Frozen forever: the reference curves in BENCH_scaling.json are pinned
+   exactly by the test suite, so these constants must never track any
+   particular host.  Every default and fallback model starts here. *)
 let reference =
   {
     alpha_s = 1e-6;
@@ -81,11 +71,11 @@ let of_spec spec =
       (fun s -> String.trim s <> "")
       (String.split_on_char ',' spec)
   in
-  { (List.fold_left parse_field default fields) with nm_source = "spec" }
+  { (List.fold_left parse_field reference fields) with nm_source = "spec" }
 
 (* --- calibration --- *)
 
-let of_fit ?(base = default) (f : Analysis.fit) =
+let of_fit ?(base = reference) (f : Analysis.fit) =
   {
     base with
     alpha_s = f.Analysis.f_alpha_s;

@@ -3,13 +3,13 @@
     per-byte transfer cost) and per-unit host rates for compute, halo
     packing and unpacking.
 
-    Models come from four places: {!default} (rough single-host
-    constants, used when nothing better is known), {!reference} (frozen
-    constants that never change — the machine-independent model the
-    bench regression gate replays under), {!slingshot} (the paper's
-    interconnect, for the scaling figures), and {!of_fit} / {!calibrate}
-    (the {!Analysis.fit_alpha_beta} verdict and host rates from a real
-    traced [mpi_par] run). *)
+    Models come from four places: {!reference} (frozen constants that
+    never change — the machine-independent model every default and
+    fallback uses, and the one the test suite pins the scaling curves
+    under), {!slingshot} (the paper's interconnect, for the scaling
+    figures), {!of_fit} / {!calibrate} (the {!Analysis.fit_alpha_beta}
+    verdict and host rates from a real traced [mpi_par] run), and
+    {!of_spec} (explicit constants). *)
 
 type t = {
   alpha_s : float;  (** fixed cost per message (seconds) *)
@@ -17,13 +17,12 @@ type t = {
   compute_s_per_cell : float;  (** stencil compute cost per output cell *)
   pack_s_per_byte : float;  (** halo pack cost per byte staged *)
   unpack_s_per_byte : float;  (** halo unpack cost per byte drained *)
-  nm_source : string;  (** provenance: "default", "reference", "slingshot", "calibrated", "spec" *)
+  nm_source : string;  (** provenance: "reference", "slingshot", "calibrated", "spec" *)
 }
 
-val default : t
 val reference : t
 (** Frozen constants (never retuned): deterministic replay results
-    across machines, for regression-gated scaling curves. *)
+    across machines, for the test-pinned scaling curves. *)
 
 val slingshot : t
 (** HPE Slingshot, the interconnect of the paper's ARCHER2 figures:
@@ -39,13 +38,13 @@ val describe : t -> string
 
 val of_spec : string -> t
 (** Parse ["alpha=2e-6,beta=1e-9,compute=5e-9,pack=1e-9,unpack=1e-9"]
-    (any subset; unset fields keep {!default}).  Raises [Failure] on an
+    (any subset; unset fields keep {!reference}).  Raises [Failure] on an
     unknown key or a malformed/negative number. *)
 
 (** {1 Calibration} *)
 
 val of_fit : ?base:t -> Analysis.fit -> t
-(** Install a fitted alpha/beta into [base] (default {!default});
+(** Install a fitted alpha/beta into [base] (default {!reference});
     [nm_source] becomes ["calibrated"]. *)
 
 val calibrate :

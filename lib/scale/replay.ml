@@ -27,7 +27,7 @@ let predicted_efficiency ~baseline_ranks ~baseline_wall_s ~ranks ~wall_s =
 let kind_order (k : Mpi_intf.event_kind) =
   match k with Mpi_intf.Recv_complete _ -> 1 | _ -> 0
 
-let run ?(model = Netmodel.default) ?cores ?(emit_timeline = true)
+let run ?(model = Netmodel.reference) ?cores ?(emit_timeline = true)
     (s : Schedule.t) : prediction =
   let ranks = s.Schedule.ranks in
   let cores = match cores with Some c -> max 1 c | None -> ranks in

@@ -26,7 +26,7 @@ val run :
   ?emit_timeline:bool ->
   Schedule.t ->
   prediction
-(** Replay a schedule.  [model] defaults to {!Netmodel.default}.
+(** Replay a schedule.  [model] defaults to {!Netmodel.reference}.
     [cores] (default: the schedule's rank count, i.e. one core per rank)
     time-shares host-side work: compute, pack, unpack and message
     delivery durations are multiplied by [ranks / cores] when ranks

@@ -35,9 +35,7 @@ let default_strategies =
 let candidate_name c =
   Printf.sprintf "%s/%s/%s grid %s"
     (Core.Decomposition.strategy_name c.c_strategy)
-    (match c.c_mode with
-    | Core.Decomposition.Faces -> "faces"
-    | Core.Decomposition.Diagonals -> "diagonals")
+    (Core.Decomposition.mode_name c.c_mode)
     (if c.c_overlap then "overlap" else "no-overlap")
     (String.concat "x" (List.map string_of_int c.c_grid))
 
@@ -45,7 +43,7 @@ let schedule_of (c : candidate) ~ranks (m : Op.t) =
   Schedule.of_module ~strategy: c.c_strategy ~mode: c.c_mode
     ~overlap: c.c_overlap ~ranks m
 
-let tune ?(model = Netmodel.default) ?cores
+let tune ?(model = Netmodel.reference) ?cores
     ?(strategies = default_strategies)
     ?(modes = [ Core.Decomposition.Faces; Core.Decomposition.Diagonals ])
     ?(overlaps = [ false; true ]) ~ranks (m : Op.t) : choice option =

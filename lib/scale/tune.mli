@@ -44,7 +44,7 @@ val tune :
 (** Score every valid candidate for a stencil-dialect module at a rank
     count; [None] when no candidate is valid.  Defaults: all slicing
     strategies, both exchange modes, overlap both off and on, the
-    {!Netmodel.default} model, one core per rank (no host
+    {!Netmodel.reference} model, one core per rank (no host
     time-sharing — tuning targets the deployment machine, not this
     host).  Ties go to the earliest candidate in enumeration order,
     which lists [Slice2d]/[Faces] first so the tuner only departs from

@@ -69,10 +69,10 @@ let strategy_param params =
            "unknown strategy %S (available: slice1d, slice2d, slice3d)" s)
 
 let mode_param params =
-  match Option.value (lookup params "mode") ~default: "faces" with
-  | "faces" -> Core.Decomposition.Faces
-  | "diagonals" -> Core.Decomposition.Diagonals
-  | s ->
+  let s = Option.value (lookup params "mode") ~default: "faces" in
+  match Core.Decomposition.mode_of_name s with
+  | Some mode -> mode
+  | None ->
       failwith
         (Printf.sprintf "unknown mode %S (available: faces, diagonals)" s)
 
@@ -80,19 +80,13 @@ let mode_param params =
    empty means untiled.  Part of the compile target (and thus the
    artifact digest), unlike [threads] which is a pure runtime knob. *)
 let tiles_param params =
-  match lookup params "tile" with
-  | None | Some "" -> []
-  | Some spec ->
-      List.map
-        (fun w ->
-          match int_of_string_opt (String.trim w) with
-          | Some n when n > 0 -> n
-          | _ ->
-              failwith
-                (Printf.sprintf
-                   "tile=%S is not a comma-separated list of positive ints"
-                   spec))
-        (String.split_on_char ',' spec)
+  let spec = Option.value (lookup params "tile") ~default: "" in
+  match Core.Pipeline.tiles_of_string spec with
+  | Some tiles -> tiles
+  | None ->
+      failwith
+        (Printf.sprintf
+           "tile=%S is not a comma-separated list of positive ints" spec)
 
 let target_of_params params : Core.Pipeline.target =
   match Option.value (lookup params "target") ~default: "distributed-cpu" with

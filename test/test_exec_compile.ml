@@ -283,14 +283,14 @@ let test_extern_call () =
 
 let test_of_name () =
   check bool_c "compiled resolves" true
-    (match Exec_compile.of_name "compiled" with
+    (match Interp.Executor.of_name_opt "compiled" with
     | Some e -> e.Interp.Executor.exec_name = "compiled"
     | None -> false);
   check bool_c "interp resolves" true
-    (match Exec_compile.of_name "interp" with
+    (match Interp.Executor.of_name_opt "interp" with
     | Some e -> e.Interp.Executor.exec_name = "interp"
     | None -> false);
-  check bool_c "unknown rejected" true (Exec_compile.of_name "jit" = None);
+  check bool_c "unknown rejected" true (Interp.Executor.of_name_opt "jit" = None);
   (* The raising registry lookup must spell out what would have worked. *)
   check bool_c "unknown name error lists available executors" true
     (match Interp.Executor.of_name "jit" with

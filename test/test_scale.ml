@@ -21,9 +21,7 @@ let test_schedule_matches_executed_run () =
     (fun (mode, overlap) ->
       let label =
         Printf.sprintf "(mode=%s overlap=%b)"
-          (match mode with
-          | Core.Decomposition.Faces -> "faces"
-          | Core.Decomposition.Diagonals -> "diagonals")
+          (Core.Decomposition.mode_name mode)
           overlap
       in
       let s = Scale.Schedule.of_module ~mode ~overlap ~ranks: 4 m in
@@ -140,6 +138,32 @@ let replay_invariants (nx, ny, steps, ranks, overlap) =
   if Float.abs (wall -. p.Scale.Replay.p_wall_s) > eps then
     Alcotest.failf "wall %.9f <> max rank clock %.9f" p.Scale.Replay.p_wall_s
       wall;
+  (* Every replayed cost comes from the model: doubling every rate
+     doubles every clock exactly (scaling by 2 is exact in binary
+     floating point), so a model that is another one with its constants
+     scaled predicts the same curves, and no cost enters from outside. *)
+  let r = Scale.Netmodel.reference in
+  let doubled =
+    {
+      r with
+      Scale.Netmodel.alpha_s = 2. *. r.Scale.Netmodel.alpha_s;
+      beta_s_per_byte = 2. *. r.Scale.Netmodel.beta_s_per_byte;
+      compute_s_per_cell = 2. *. r.Scale.Netmodel.compute_s_per_cell;
+      pack_s_per_byte = 2. *. r.Scale.Netmodel.pack_s_per_byte;
+      unpack_s_per_byte = 2. *. r.Scale.Netmodel.unpack_s_per_byte;
+    }
+  in
+  let base = Scale.Replay.run ~model: r ~emit_timeline: false s in
+  let twice = Scale.Replay.run ~model: doubled ~emit_timeline: false s in
+  if twice.Scale.Replay.p_wall_s <> 2. *. base.Scale.Replay.p_wall_s then
+    Alcotest.failf "doubled rates: wall %h <> 2 x %h"
+      twice.Scale.Replay.p_wall_s base.Scale.Replay.p_wall_s;
+  Array.iteri
+    (fun rank span ->
+      if twice.Scale.Replay.p_rank_span_s.(rank) <> 2. *. span then
+        Alcotest.failf "doubled rates: rank %d span %h <> 2 x %h" rank
+          twice.Scale.Replay.p_rank_span_s.(rank) span)
+    base.Scale.Replay.p_rank_span_s;
   true
 
 let replay_config_arb =
@@ -292,9 +316,9 @@ let test_netmodel_spec_roundtrip () =
   check (Alcotest.float 1e-12) "beta" 2e-9 m.Scale.Netmodel.beta_s_per_byte;
   check (Alcotest.float 1e-12) "compute" 1e-8
     m.Scale.Netmodel.compute_s_per_cell;
-  (* Unset keys keep defaults. *)
+  (* Unset keys keep the reference constants. *)
   check (Alcotest.float 1e-12) "pack default"
-    Scale.Netmodel.default.Scale.Netmodel.pack_s_per_byte
+    Scale.Netmodel.reference.Scale.Netmodel.pack_s_per_byte
     m.Scale.Netmodel.pack_s_per_byte;
   match Scale.Netmodel.of_spec "alpha=-1" with
   | exception Failure _ -> ()
@@ -358,6 +382,93 @@ let test_tuner_skips_invalid () =
       check Alcotest.(list int) "grid divides the domain" [ 4; 2 ]
         ch.Scale.Tune.best.Scale.Tune.c_grid
 
+(* --- pinned reference curves --- *)
+
+(* The 14 "reference" rows of the committed BENCH_scaling.json: heat2d
+   so=2 and wave2d so=4 at 128^2 x 8 steps, tuned and replayed under the
+   frozen reference model.  The model is deterministic, so decomposition,
+   grid and traffic must match exactly, and wall and efficiency to the
+   JSON's printed precision (7 significant digits for wall, 6 decimals
+   for efficiency). *)
+let reference_rows =
+  [
+    ("heat2d-so2", 16, "4x4", 4.505600e-05, 1.000000, 48, 6144);
+    ("heat2d-so2", 32, "8x4", 2.355200e-05, 0.956522, 104, 10240);
+    ("heat2d-so2", 64, "8x8", 1.270400e-05, 0.886650, 224, 14336);
+    ("heat2d-so2", 128, "16x8", 1.155200e-05, 0.487535, 464, 22528);
+    ("heat2d-so2", 256, "16x16", 1.027200e-05, 0.274143, 960, 30720);
+    ("heat2d-so2", 512, "32x16", 9.696000e-06, 0.145215, 1952, 47104);
+    ("heat2d-so2", 1024, "32x32", 9.056000e-06, 0.077739, 3968, 63488);
+    ("wave2d-so4", 16, "4x4", 6.636800e-05, 1.000000, 96, 24576);
+    ("wave2d-so4", 32, "8x4", 4.179200e-05, 0.794028, 208, 40960);
+    ("wave2d-so4", 64, "8x8", 2.969600e-05, 0.558728, 448, 57344);
+    ("wave2d-so4", 128, "16x8", 2.636800e-05, 0.314624, 928, 90112);
+    ("wave2d-so4", 256, "16x16", 2.252800e-05, 0.184126, 1920, 122880);
+    ("wave2d-so4", 512, "32x16", 2.086400e-05, 0.099406, 3904, 188416);
+    ("wave2d-so4", 1024, "32x32", 1.894400e-05, 0.054740, 7936, 253952);
+  ]
+
+(* bench scale's curve workloads, built through the Devito frontend with
+   the same constants as the bench's [Workloads.heat] / [Workloads.wave]. *)
+let devito_workload name =
+  let open Devito.Symbolic in
+  let shape = [ 128; 128 ] in
+  let eqn =
+    match name with
+    | "heat2d-so2" ->
+        let u = function_ ~space_order: 2 "u" (grid ~dt: 0.1 shape) in
+        eq (Dt u) (f 0.5 *: laplace u)
+    | _ ->
+        let u =
+          function_ ~space_order: 4 ~time_order: 2 "u" (grid ~dt: 0.02 shape)
+        in
+        eq (Dt2 u) (f 2.25 *: laplace u)
+  in
+  snd (Devito.Operator.operator ~name ~timesteps: 8 eqn)
+
+let test_reference_curves_pinned () =
+  let modules =
+    List.map (fun w -> (w, devito_workload w)) [ "heat2d-so2"; "wave2d-so4" ]
+  in
+  let tuned w ranks =
+    match
+      Scale.Tune.tune ~model: Scale.Netmodel.reference ~ranks
+        (List.assoc w modules)
+    with
+    | Some ch -> ch.Scale.Tune.best
+    | None -> Alcotest.failf "%s @%d: no valid decomposition" w ranks
+  in
+  let base_wall =
+    List.map (fun (w, _) -> (w, (tuned w 16).Scale.Tune.c_wall_s)) modules
+  in
+  (* Efficiency is compared absolutely: the record's 6 decimals put
+     0.054740 only within 9e-6 relative of the exact value. *)
+  let close ~what ~tol expected actual =
+    if Float.abs (actual -. expected) > tol then
+      Alcotest.failf "%s: %.9g, pinned %.9g" what actual expected
+  in
+  List.iter
+    (fun (w, ranks, grid, wall, efficiency, msgs, bytes) ->
+      let label what = Printf.sprintf "%s @%d %s" w ranks what in
+      let b = tuned w ranks in
+      check Alcotest.string (label "decomposition") "2d-slice/faces/overlap"
+        (Printf.sprintf "%s/%s/%s"
+           (Core.Decomposition.strategy_name b.Scale.Tune.c_strategy)
+           (Core.Decomposition.mode_name b.Scale.Tune.c_mode)
+           (if b.Scale.Tune.c_overlap then "overlap" else "no-overlap"));
+      check Alcotest.string (label "grid") grid
+        (String.concat "x" (List.map string_of_int b.Scale.Tune.c_grid));
+      check int_c (label "messages/step") msgs
+        b.Scale.Tune.c_messages_per_step;
+      check int_c (label "bytes/step") bytes b.Scale.Tune.c_bytes_per_step;
+      close ~what: (label "wall_s") ~tol: (1e-6 *. wall) wall
+        b.Scale.Tune.c_wall_s;
+      close ~what: (label "efficiency") ~tol: 1e-6 efficiency
+        (Scale.Replay.predicted_efficiency ~baseline_ranks: 16
+           ~baseline_wall_s: (List.assoc w base_wall) ~ranks
+           ~wall_s: b.Scale.Tune.c_wall_s))
+    reference_rows
+
 let suite =
   [
     Alcotest.test_case "schedule matches executed run" `Quick
@@ -384,4 +495,6 @@ let suite =
       test_tuner_tie_break_keeps_default;
     Alcotest.test_case "tuner skips invalid decompositions" `Quick
       test_tuner_skips_invalid;
+    Alcotest.test_case "reference curves pinned" `Quick
+      test_reference_curves_pinned;
   ]

@@ -751,7 +751,28 @@ let test_fingerprint_roundtrip () =
       | None -> Alcotest.fail (Printf.sprintf "unparseable fingerprint %s" fp))
     targets;
   check bool_c "garbage does not parse" true
-    (Core.Pipeline.target_of_fingerprint "quantum[qubits=8]" = None)
+    (Core.Pipeline.target_of_fingerprint "quantum[qubits=8]" = None);
+  (* The spelling is part of every artifact digest and stored .art file. *)
+  check Alcotest.string "fingerprint spelling"
+    "distributed-cpu[ranks=8;strategy=3d-slice;mode=diagonals;tiles=16,16;\
+     overlap=false]"
+    (Core.Pipeline.target_fingerprint (List.nth targets 4));
+  (* One tile-list grammar for --tile, tile= and fingerprints. *)
+  List.iter
+    (fun (spec, expected) ->
+      check
+        Alcotest.(option (list int))
+        (Printf.sprintf "tiles %S" spec)
+        expected
+        (Core.Pipeline.tiles_of_string spec))
+    [
+      ("", Some []);
+      ("8,8", Some [ 8; 8 ]);
+      (" 16, 4 ", Some [ 16; 4 ]);
+      ("8,0", None);
+      ("8,x", None);
+      ("8,,8", None);
+    ]
 
 (* --- SSA ids under concurrent parse + compile ---
 
