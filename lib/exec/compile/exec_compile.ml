@@ -11,14 +11,27 @@
    - every SSA value is resolved at compile time to a fixed integer slot in
      a flat frame; scalars are stored unboxed (an [int array] for
      int/index-typed values, a [float array] for float-typed values, an
-     [Interp.Rtval.t array] for buffers and the rest), so the hot
-     memref load/compute/store chains never allocate;
+     [Interp.Rtval.t array] for buffers and the rest);
    - each op and region is compiled exactly once into a [frame -> unit]
-     closure; loops re-run the closure, not the compiler;
+     closure; loops re-run the closure, not the compiler.  An op whose
+     operands sit in int/float slots reads and writes those arrays
+     directly with its operator inlined: without flambda, a [frame ->
+     float] accessor or a [float -> float -> float] operator closure boxes
+     every float it returns, so only operands of another kind (an int read
+     as a float, a boxed object) go through such accessors;
+   - an innermost [scf.for] without carried values whose body is only
+     affine index arithmetic, float loads/stores and float arith compiles
+     to a fused kernel (see "fused inner loops" below): its index
+     arithmetic is bound once per loop entry, and each access becomes one
+     array read or write at [off + iv * stride];
    - external calls (the MPI_* symbols a fully lowered module contains) are
      pre-bound at compile time: the dispatch op handed to the externs
      handler is built once per call site, and arguments are boxed only at
      this boundary.
+
+   The hot path allocates nothing per cell update: the allocation test in
+   test_exec_compile.ml pins the minor-heap words of a lowered heat2d run
+   against its grid size.
 
    Supported input is everything [Driver.Runtime_link] feeds the
    interpreter after full lowering — func/scf/arith/memref plus
@@ -55,11 +68,13 @@ let unsupported fmt =
    than capturing it in the compiled closures) is what makes compilation
    rank-independent.  [pool] is the rank's omp worker pool ([None] on
    sequential instances and inside worker frames — workers never spawn
-   nested parallelism). *)
+   nested parallelism).  [fbufs] holds the float storage a fused kernel
+   binds at loop entry, one cell per access (see [bind_kernel]). *)
 type frame = {
   ints : int array;
   flts : float array;
   objs : R.t array;
+  fbufs : float array array;
   ext : Interp.Executor.externs;
   pool : Domain_pool.t option;
 }
@@ -88,7 +103,10 @@ type cfunc = {
   cf_n_int : int;
   cf_n_flt : int;
   cf_n_obj : int;
+  cf_n_fbuf : int;
   cf_body : cblock;
+  cf_loops : int;  (* innermost scf.for loops in the body *)
+  cf_kernels : int;  (* ... of which compiled to fused kernels *)
 }
 
 (* The rank-independent compiled module: immutable after [compile]
@@ -118,7 +136,10 @@ type fctx = {
   mutable n_int : int;
   mutable n_flt : int;
   mutable n_obj : int;
+  mutable n_fbuf : int;
   mutable omp_nt : int option;
+  mutable loops : int;
+  mutable kernels : int;
 }
 
 let def (f : fctx) (v : Value.t) : slot =
@@ -139,6 +160,12 @@ let def (f : fctx) (v : Value.t) : slot =
         (Kobj, s)
   in
   Hashtbl.replace f.slots (Value.id v) s;
+  s
+
+(* A fresh int slot that no SSA value owns (kernel entry state). *)
+let scratch_int (f : fctx) : int =
+  let s = f.n_int in
+  f.n_int <- s + 1;
   s
 
 let slot_exn (f : fctx) (v : Value.t) : slot =
@@ -180,6 +207,93 @@ let write_slot ((k, i) : slot) : frame -> R.t -> unit =
   | Kint -> fun fr v -> fr.ints.(i) <- R.as_int v
   | Kflt -> fun fr v -> fr.flts.(i) <- R.as_float v
   | Kobj -> fun fr v -> fr.objs.(i) <- v
+
+(* ---------- direct slot operands (no boxing) ---------- *)
+
+(* The flts slot holding float operand [v].  An operand of another kind
+   (an int read as a float, a boxed object) is converted into a scratch
+   float slot by a closure that runs before the op: the boxing accessor
+   stays off the float-to-float path. *)
+let flt_operand (f : fctx) v : int * (frame -> unit) list =
+  match slot_exn f v with
+  | Kflt, i -> (i, [])
+  | _ ->
+      let g = get_flt f v in
+      let s = f.n_flt in
+      f.n_flt <- s + 1;
+      (s, [ (fun fr -> fr.flts.(s) <- g fr) ])
+
+(* The ints slot holding integer operand [v], converted as above. *)
+let int_operand (f : fctx) v : int * (frame -> unit) list =
+  match slot_exn f v with
+  | Kint, i -> (i, [])
+  | _ ->
+      let g = get_int f v in
+      let s = scratch_int f in
+      (s, [ (fun fr -> fr.ints.(s) <- g fr) ])
+
+(* [run], preceded by the operand conversions it needs. *)
+let after (convs : (frame -> unit) list) (run : frame -> unit) : frame -> unit
+    =
+  match convs with
+  | [] -> run
+  | _ ->
+      fun fr ->
+        List.iter (fun c -> c fr) convs;
+        run fr
+
+(* Result slots of a known kind: the direct closures write them unchecked,
+   so a result typed otherwise is rejected here. *)
+let def_int (f : fctx) v =
+  match def f v with
+  | Kint, d -> d
+  | _ -> unsupported "value %%%d: expected an integer result" (Value.id v)
+
+let def_flt (f : fctx) v =
+  match def f v with
+  | Kflt, d -> d
+  | _ -> unsupported "value %%%d: expected a float result" (Value.id v)
+
+(* Unchecked slot access at a known element type: the type annotation
+   specializes the primitive, so a float never leaves its array boxed.
+   Slot indices come from [def], so they are always in range. *)
+let[@inline] iget (v : int array) i = Array.unsafe_get v i
+let[@inline] iset (v : int array) i (x : int) = Array.unsafe_set v i x
+let[@inline] fget (v : float array) i = Array.unsafe_get v i
+let[@inline] fset (v : float array) i (x : float) = Array.unsafe_set v i x
+
+(* [d <- a op b] over int slots. *)
+let int_binop name a b d : frame -> unit =
+  match name with
+  | "arith.addi" -> fun { ints = v; _ } -> iset v d (iget v a + iget v b)
+  | "arith.subi" -> fun { ints = v; _ } -> iset v d (iget v a - iget v b)
+  | "arith.muli" -> fun { ints = v; _ } -> iset v d (iget v a * iget v b)
+  | "arith.divsi" ->
+      fun { ints = v; _ } ->
+        let y = iget v b in
+        if y = 0 then R.error "division by zero" else iset v d (iget v a / y)
+  | "arith.remsi" ->
+      fun { ints = v; _ } ->
+        let y = iget v b in
+        if y = 0 then R.error "remainder by zero"
+        else iset v d (iget v a mod y)
+  | "arith.andi" -> fun { ints = v; _ } -> iset v d (iget v a land iget v b)
+  | "arith.ori" -> fun { ints = v; _ } -> iset v d (iget v a lor iget v b)
+  | "arith.xori" -> fun { ints = v; _ } -> iset v d (iget v a lxor iget v b)
+  | _ -> unsupported "unknown int binop %s" name
+
+(* [d <- a op b] over float slots. *)
+let flt_binop name a b d : frame -> unit =
+  match name with
+  | "arith.addf" -> fun { flts = v; _ } -> fset v d (fget v a +. fget v b)
+  | "arith.subf" -> fun { flts = v; _ } -> fset v d (fget v a -. fget v b)
+  | "arith.mulf" -> fun { flts = v; _ } -> fset v d (fget v a *. fget v b)
+  | "arith.divf" -> fun { flts = v; _ } -> fset v d (fget v a /. fget v b)
+  | "arith.maximumf" ->
+      fun { flts = v; _ } -> fset v d (Float.max (fget v a) (fget v b))
+  | "arith.minimumf" ->
+      fun { flts = v; _ } -> fset v d (Float.min (fget v a) (fget v b))
+  | _ -> unsupported "unknown float binop %s" name
 
 (* ---------- fast buffer indexing (specialized per rank) ---------- *)
 
@@ -230,6 +344,8 @@ let index_fun (coords : (frame -> int) array) : frame -> R.buffer -> int =
 
 (* ---------- helpers ---------- *)
 
+let is_loop (o : Op.t) = o.Op.name = "scf.for" || o.Op.name = "scf.parallel"
+
 let is_terminator = function
   | "scf.yield" | "func.return" | "stencil.return" -> true
   | _ -> false
@@ -245,6 +361,7 @@ let new_frame ~(ext : Interp.Executor.externs) ~pool (cf : cfunc) : frame =
     ints = Array.make cf.cf_n_int 0;
     flts = Array.make cf.cf_n_flt 0.;
     objs = Array.make cf.cf_n_obj R.Runit;
+    fbufs = Array.make cf.cf_n_fbuf [||];
     ext;
     pool;
   }
@@ -272,6 +389,7 @@ let worker_frame (fr : frame) : frame =
     ints = Array.copy fr.ints;
     flts = Array.copy fr.flts;
     objs = Array.copy fr.objs;
+    fbufs = Array.copy fr.fbufs;
     ext = worker_externs;
     pool = None;
   }
@@ -288,23 +406,299 @@ let pred_fn (op : Op.t) : int -> bool =
   | "ge" -> fun c -> c >= 0
   | p -> unsupported "unknown predicate %s" p
 
+(* ---------- fused inner loops ---------- *)
+
+(* An innermost scf.for without carried values whose body holds only
+
+   - index arithmetic affine in the induction variable (addi/subi,
+     index_cast, int constants, muli by a loop-invariant factor),
+   - float memref.load/memref.store,
+   - float arith (binops, negf, extf/truncf, cmpf, float select),
+
+   runs as a kernel.  Every body int is affine, [base + coef * iv], with
+   [base] and [coef] computed once per loop entry by a short int-slot
+   program.  So each access's linear index is [off + iv * str], bound once
+   per entry from the buffer's [shape]/[lo]; the coordinates are
+   bounds-checked at the first and the last iteration, which covers every
+   iteration in between because they are affine.
+
+   When an entry fails its check (an index out of range, an int-typed or
+   non-buffer operand, a rank mismatch, a trip count or stride that could
+   overflow), that entry runs the per-op closures instead, so errors and
+   partial writes are exactly the per-op path's.  Binding writes only
+   preallocated frame cells ([ints] slots and [fbufs]): an entry allocates
+   nothing, which matters because most innermost entries of an overlapped
+   distributed step are one-iteration boundary loops.
+
+   A bound entry runs each iteration's loads, stores and float ops in
+   their original order over the flat storage, so loads and stores that
+   alias see exactly what the per-op closures see, and results are
+   bitwise-equal to the interpreter's. *)
+
+(* An affine body int [base + coef * iv]: [ab]/[ac] are the int slots the
+   entry program fills; [inv] when [coef] is structurally zero. *)
+type aff = { ab : int; ac : int; inv : bool }
+
+(* One step of the entry program, over int slots. *)
+type aff_op =
+  | Aset of int * int  (* d <- constant *)
+  | Aadd of int * int * int  (* d <- x + y *)
+  | Asub of int * int * int  (* d <- x - y *)
+  | Amul of int * int * int  (* d <- x * y *)
+
+(* A float access of the body: [buf] is the objs slot of its buffer and
+   [dims] its coordinates.  Binding stores the buffer's storage in
+   [fbufs.(fb)] and its linear index [off + iv * str] in int slots. *)
+type access = {
+  buf : int;
+  dims : aff array;
+  fb : int;
+  off : int;
+  str : int;
+}
+
+(* A body op as the kernel sees it: a float op with its per-op closure,
+   or a load into / a store from a float value. *)
+type item =
+  | Flt of Op.t * (frame -> unit)
+  | Load of access * Value.t
+  | Store of access * Value.t
+
+type kernel = {
+  k_entry : aff_op array;
+  k_acc : access array;
+  k_body : (frame -> unit) array;
+}
+
+let run_entry (v : int array) (prog : aff_op array) : unit =
+  for j = 0 to Array.length prog - 1 do
+    match Array.unsafe_get prog j with
+    | Aset (d, c) -> v.(d) <- c
+    | Aadd (d, x, y) -> v.(d) <- v.(x) + v.(y)
+    | Asub (d, x, y) -> v.(d) <- v.(x) - v.(y)
+    | Amul (d, x, y) -> v.(d) <- v.(x) * v.(y)
+  done
+
+(* Checks coordinate [d] of [a] at the first iteration ([iv0]) and the
+   last ([iv0 + n1 * step]), and folds it into the access's offset and
+   stride (row-major Horner).  The per-op path computes the in-dimension
+   index as [base - l + coef * iv] with wrapping int arithmetic; bounding
+   [coef * step] by [s / n1] keeps every iteration's value exact, so
+   in range at both ends means in range throughout. *)
+let rec bind_dims (v : int array) (a : access) d shape lo ~iv0 ~n1 ~step =
+  match (shape, lo) with
+  | [], [] -> d = Array.length a.dims
+  | s :: shape, l :: lo when d < Array.length a.dims ->
+      let c = Array.unsafe_get a.dims d in
+      let b = v.(c.ab) - l and k = v.(c.ac) in
+      let i0 = b + (k * iv0) and dl = k * step in
+      i0 >= 0 && i0 < s
+      && (n1 = 0
+         ||
+         let q = s / n1 in
+         dl >= -q && dl <= q
+         &&
+         let last = i0 + (dl * n1) in
+         last >= 0 && last < s)
+      && begin
+           v.(a.off) <- (v.(a.off) * s) + b;
+           v.(a.str) <- (v.(a.str) * s) + k;
+           bind_dims v a (d + 1) shape lo ~iv0 ~n1 ~step
+         end
+  | _ -> false
+
+(* Binds every access for an entry running iterations [iv0],
+   [iv0 + step], ..., [iv0 + n1 * step]; false when the entry must run
+   the per-op closures. *)
+let bind_kernel (k : kernel) (fr : frame) ~iv0 ~n1 ~step : bool =
+  let v = fr.ints in
+  run_entry v k.k_entry;
+  let ok = ref true and j = ref 0 in
+  while !ok && !j < Array.length k.k_acc do
+    let a = Array.unsafe_get k.k_acc !j in
+    (match fr.objs.(a.buf) with
+    | R.Rbuf { R.data = R.F data; shape; lo; _ } ->
+        fr.fbufs.(a.fb) <- data;
+        v.(a.off) <- 0;
+        v.(a.str) <- 0;
+        ok := bind_dims v a 0 shape lo ~iv0 ~n1 ~step
+    | _ -> ok := false);
+    incr j
+  done;
+  !ok
+
+(* The iterations of a loop without carried values. *)
+let run_loop (stmts : (frame -> unit) array) (fr : frame) iv lo hi step =
+  let i = ref lo in
+  while !i < hi do
+    Array.unsafe_set fr.ints iv !i;
+    for j = 0 to Array.length stmts - 1 do
+      (Array.unsafe_get stmts j) fr
+    done;
+    i := !i + step
+  done
+
+(* Kernel accesses: the entry check made the unchecked reads safe. *)
+let load_k (a : access) iv d : frame -> unit =
+  let fb = a.fb and off = a.off and str = a.str in
+  fun fr ->
+    let v = fr.ints in
+    fset fr.flts d
+      (fget (Array.unsafe_get fr.fbufs fb) (iget v off + (iget v iv * iget v str)))
+
+let store_k (a : access) iv x : frame -> unit =
+  let fb = a.fb and off = a.off and str = a.str in
+  fun fr ->
+    let v = fr.ints in
+    fset (Array.unsafe_get fr.fbufs fb)
+      (iget v off + (iget v iv * iget v str))
+      (fget fr.flts x)
+
+exception Unfusable
+
+(* The kernel of a loop body, from its ops paired with their per-op
+   closures (which the kernel reuses for float ops: their operands all
+   sit in float slots, so those closures are the direct ones); [None]
+   when an op is outside the kernel subset. *)
+let fuse_body (f : fctx) (iv : Value.t) iv_slot
+    (ops : (Op.t * (frame -> unit) option) list) : kernel option =
+  let zero = scratch_int f and one = scratch_int f in
+  let entry = ref [ Aset (one, 1); Aset (zero, 0) ] in
+  let emit o = entry := o :: !entry in
+  let affs = Hashtbl.create 16 and local = Hashtbl.create 16 in
+  List.iter
+    (fun ((op : Op.t), _) ->
+      List.iter (fun r -> Hashtbl.replace local (Value.id r) ()) op.Op.results)
+    ops;
+  Hashtbl.replace affs (Value.id iv) { ab = zero; ac = one; inv = false };
+  let aff_of v =
+    match Hashtbl.find_opt affs (Value.id v) with
+    | Some a -> a
+    | None -> (
+        (* An int from outside the body is loop-invariant, read at entry;
+           a body int that is not affine (a cmpf result) cannot index. *)
+        match slot_exn f v with
+        | Kint, i when not (Hashtbl.mem local (Value.id v)) ->
+            { ab = i; ac = zero; inv = true }
+        | _ -> raise Unfusable)
+  in
+  let flt v = match slot_exn f v with Kflt, i -> i | _ -> raise Unfusable in
+  let int_res (op : Op.t) =
+    match slot_exn f (Op.result_exn op) with
+    | Kint, d -> d
+    | _ -> raise Unfusable
+  in
+  let bind (op : Op.t) a = Hashtbl.replace affs (Value.id (Op.result_exn op)) a in
+  let coef x y mk =
+    let c = scratch_int f in
+    emit (mk c x y);
+    c
+  in
+  let access buf coords =
+    let buf = match slot_exn f buf with Kobj, i -> i | _ -> raise Unfusable in
+    let fb = f.n_fbuf in
+    f.n_fbuf <- fb + 1;
+    { buf; dims = Array.of_list (List.map aff_of coords); fb;
+      off = scratch_int f; str = scratch_int f }
+  in
+  let item (op : Op.t) clo : item option =
+    let operand i = Op.operand_exn op i in
+    match (op.Op.name, clo) with
+    | "arith.constant", _ when kind_of_ty (Value.ty (Op.result_exn op)) = Kint
+      -> (
+        match Op.attr_exn op "value" with
+        | Typesys.Int_attr (c, _) ->
+            let d = int_res op in
+            emit (Aset (d, c));
+            bind op { ab = d; ac = zero; inv = true };
+            None
+        | _ -> raise Unfusable)
+    | "arith.addi", _ ->
+        let x = aff_of (operand 0) and y = aff_of (operand 1) and d = int_res op in
+        emit (Aadd (d, x.ab, y.ab));
+        let ac =
+          if y.inv then x.ac
+          else if x.inv then y.ac
+          else coef x.ac y.ac (fun c a b -> Aadd (c, a, b))
+        in
+        bind op { ab = d; ac; inv = x.inv && y.inv };
+        None
+    | "arith.subi", _ ->
+        let x = aff_of (operand 0) and y = aff_of (operand 1) and d = int_res op in
+        emit (Asub (d, x.ab, y.ab));
+        let ac =
+          if y.inv then x.ac else coef x.ac y.ac (fun c a b -> Asub (c, a, b))
+        in
+        bind op { ab = d; ac; inv = x.inv && y.inv };
+        None
+    | "arith.muli", _ ->
+        let x = aff_of (operand 0) and y = aff_of (operand 1) and d = int_res op in
+        let x, y =
+          if y.inv then (x, y) else if x.inv then (y, x) else raise Unfusable
+        in
+        emit (Amul (d, x.ab, y.ab));
+        let ac =
+          if x.inv then zero else coef x.ac y.ab (fun c a b -> Amul (c, a, b))
+        in
+        bind op { ab = d; ac; inv = x.inv };
+        None
+    | "arith.index_cast", _ ->
+        ignore (int_res op);
+        bind op (aff_of (operand 0));
+        None
+    | name, Some clo
+      when Dialects.Arith.is_float_binop name
+           || List.mem name
+                [ "arith.constant"; "arith.negf"; "arith.extf";
+                  "arith.truncf"; "arith.cmpf" ] ->
+        List.iter (fun v -> ignore (flt v)) op.Op.operands;
+        if op.Op.name <> "arith.cmpf" then ignore (flt (Op.result_exn op));
+        Some (Flt (op, clo))
+    | "arith.select", Some clo ->
+        (* The condition must be an int the kernel keeps in its slot: an
+           outer value or a cmpf result, not an affine body int. *)
+        let c = operand 0 in
+        if Hashtbl.mem affs (Value.id c) then raise Unfusable;
+        (match slot_exn f c with Kint, _ -> () | _ -> raise Unfusable);
+        ignore (flt (operand 1), flt (operand 2), flt (Op.result_exn op));
+        Some (Flt (op, clo))
+    | "memref.load", _ ->
+        let r = Op.result_exn op in
+        ignore (flt r);
+        Some (Load (access (operand 0) (List.tl op.Op.operands), r))
+    | "memref.store", _ ->
+        let x = operand 0 in
+        ignore (flt x);
+        let coords = List.tl (List.tl op.Op.operands) in
+        Some (Store (access (operand 1) coords, x))
+    | _ -> raise Unfusable
+  in
+  match List.filter_map (fun (op, clo) -> item op clo) ops with
+  | items ->
+      let stmt = function
+        | Flt (_, clo) -> clo
+        | Load (a, v) -> load_k a iv_slot (flt v)
+        | Store (a, v) -> store_k a iv_slot (flt v)
+      in
+      Some
+        {
+          k_entry = Array.of_list (List.rev !entry);
+          k_acc =
+            Array.of_list
+              (List.filter_map
+                 (function Load (a, _) | Store (a, _) -> Some a | Flt _ -> None)
+                 items);
+          k_body = Array.of_list (List.map stmt items);
+        }
+  | exception Unfusable -> None
+
 (* ---------- the op compiler ---------- *)
 
 (* Returns [None] for ops that compile to nothing (dealloc). *)
 let rec compile_op (f : fctx) (op : Op.t) : (frame -> unit) option =
   let name = op.Op.name in
   let operand i = Op.operand_exn op i in
-  let int1 () = get_int f (operand 0) in
-  let flt_binop g =
-    let a = get_flt f (operand 0) and b = get_flt f (operand 1) in
-    let _, d = def f (Op.result_exn op) in
-    Some (fun fr -> fr.flts.(d) <- g (a fr) (b fr))
-  in
-  let int_binop g =
-    let a = get_int f (operand 0) and b = get_int f (operand 1) in
-    let _, d = def f (Op.result_exn op) in
-    Some (fun fr -> fr.ints.(d) <- g (a fr) (b fr))
-  in
+  let result () = Op.result_exn op in
   match name with
   | "arith.constant" -> (
       let res = Op.result_exn op in
@@ -317,70 +711,83 @@ let rec compile_op (f : fctx) (op : Op.t) : (frame -> unit) option =
           let fv = float_of_int v in
           Some (fun fr -> fr.flts.(d) <- fv)
       | _ -> unsupported "arith.constant: bad value attribute")
-  | "arith.addi" -> int_binop ( + )
-  | "arith.subi" -> int_binop ( - )
-  | "arith.muli" -> int_binop ( * )
-  | "arith.divsi" ->
-      int_binop (fun a b ->
-          if b = 0 then R.error "division by zero" else a / b)
-  | "arith.remsi" ->
-      int_binop (fun a b ->
-          if b = 0 then R.error "remainder by zero" else a mod b)
-  | "arith.andi" -> int_binop ( land )
-  | "arith.ori" -> int_binop ( lor )
-  | "arith.xori" -> int_binop ( lxor )
-  | "arith.addf" -> flt_binop ( +. )
-  | "arith.subf" -> flt_binop ( -. )
-  | "arith.mulf" -> flt_binop ( *. )
-  | "arith.divf" -> flt_binop ( /. )
-  | "arith.maximumf" -> flt_binop Float.max
-  | "arith.minimumf" -> flt_binop Float.min
+  | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi"
+  | "arith.remsi" | "arith.andi" | "arith.ori" | "arith.xori" ->
+      let a, ca = int_operand f (operand 0) in
+      let b, cb = int_operand f (operand 1) in
+      let d = def_int f (result ()) in
+      Some (after (ca @ cb) (int_binop name a b d))
+  | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
+  | "arith.maximumf" | "arith.minimumf" ->
+      let a, ca = flt_operand f (operand 0) in
+      let b, cb = flt_operand f (operand 1) in
+      let d = def_flt f (result ()) in
+      Some (after (ca @ cb) (flt_binop name a b d))
   | "arith.negf" ->
-      let a = get_flt f (operand 0) in
-      let _, d = def f (Op.result_exn op) in
-      Some (fun fr -> fr.flts.(d) <- -.a fr)
+      let a, ca = flt_operand f (operand 0) in
+      let d = def_flt f (result ()) in
+      Some
+        (after ca (fun { flts = v; _ } -> fset v d (-.fget v a)))
   | "arith.cmpi" ->
       let p = pred_fn op in
-      let a = get_int f (operand 0) and b = get_int f (operand 1) in
-      let _, d = def f (Op.result_exn op) in
+      let a, ca = int_operand f (operand 0) in
+      let b, cb = int_operand f (operand 1) in
+      let d = def_int f (result ()) in
       Some
-        (fun fr ->
-          fr.ints.(d) <- (if p (Int.compare (a fr) (b fr)) then 1 else 0))
+        (after (ca @ cb) (fun { ints = v; _ } ->
+             iset v d (if p (Int.compare (iget v a) (iget v b)) then 1 else 0)))
   | "arith.cmpf" ->
       let p = pred_fn op in
-      let a = get_flt f (operand 0) and b = get_flt f (operand 1) in
-      let _, d = def f (Op.result_exn op) in
+      let a, ca = flt_operand f (operand 0) in
+      let b, cb = flt_operand f (operand 1) in
+      let d = def_int f (result ()) in
       Some
-        (fun fr ->
-          fr.ints.(d) <- (if p (Float.compare (a fr) (b fr)) then 1 else 0))
+        (after (ca @ cb) (fun fr ->
+             let v = fr.flts in
+             iset fr.ints d
+               (if p (Float.compare (fget v a) (fget v b)) then 1 else 0)))
   | "arith.select" -> (
-      let c = int1 () in
-      match def f (Op.result_exn op) with
+      let c, cc = int_operand f (operand 0) in
+      match def f (result ()) with
       | Kint, d ->
-          let a = get_int f (operand 1) and b = get_int f (operand 2) in
-          Some (fun fr -> fr.ints.(d) <- (if c fr <> 0 then a fr else b fr))
+          let a, ca = int_operand f (operand 1) in
+          let b, cb = int_operand f (operand 2) in
+          Some
+            (after (cc @ ca @ cb) (fun { ints = v; _ } ->
+                 iset v d (iget v (if iget v c <> 0 then a else b))))
       | Kflt, d ->
-          let a = get_flt f (operand 1) and b = get_flt f (operand 2) in
-          Some (fun fr -> fr.flts.(d) <- (if c fr <> 0 then a fr else b fr))
+          let a, ca = flt_operand f (operand 1) in
+          let b, cb = flt_operand f (operand 2) in
+          Some
+            (after (cc @ ca @ cb) (fun fr ->
+                 let v = fr.flts in
+                 fset v d (fget v (if iget fr.ints c <> 0 then a else b))))
       | Kobj, d ->
           let a = read f (operand 1) and b = read f (operand 2) in
-          Some (fun fr -> fr.objs.(d) <- (if c fr <> 0 then a fr else b fr)))
+          Some
+            (after cc (fun fr ->
+                 fr.objs.(d) <-
+                   (if iget fr.ints c <> 0 then a fr else b fr))))
   | "arith.index_cast" ->
-      let a = int1 () in
-      let _, d = def f (Op.result_exn op) in
-      Some (fun fr -> fr.ints.(d) <- a fr)
+      let a, ca = int_operand f (operand 0) in
+      let d = def_int f (result ()) in
+      Some
+        (after ca (fun { ints = v; _ } -> iset v d (iget v a)))
   | "arith.sitofp" ->
-      let a = int1 () in
-      let _, d = def f (Op.result_exn op) in
-      Some (fun fr -> fr.flts.(d) <- float_of_int (a fr))
+      let a, ca = int_operand f (operand 0) in
+      let d = def_flt f (result ()) in
+      Some
+        (after ca (fun fr -> fset fr.flts d (float_of_int (iget fr.ints a))))
   | "arith.fptosi" ->
-      let a = get_flt f (operand 0) in
-      let _, d = def f (Op.result_exn op) in
-      Some (fun fr -> fr.ints.(d) <- int_of_float (a fr))
+      let a, ca = flt_operand f (operand 0) in
+      let d = def_int f (result ()) in
+      Some
+        (after ca (fun fr -> iset fr.ints d (int_of_float (fget fr.flts a))))
   | "arith.extf" | "arith.truncf" ->
-      let a = get_flt f (operand 0) in
-      let _, d = def f (Op.result_exn op) in
-      Some (fun fr -> fr.flts.(d) <- a fr)
+      let a, ca = flt_operand f (operand 0) in
+      let d = def_flt f (result ()) in
+      Some
+        (after ca (fun { flts = v; _ } -> fset v d (fget v a)))
   | "memref.alloc" | "gpu.alloc" -> (
       match Value.ty (Op.result_exn op) with
       | Typesys.Memref (shape, elt) ->
@@ -422,15 +829,14 @@ let rec compile_op (f : fctx) (op : Op.t) : (frame -> unit) option =
              (List.map (get_int f) (List.tl (List.tl op.Op.operands))))
       in
       match slot_exn f (operand 0) with
-      | Kflt, _ ->
-          let gv = get_flt f (operand 0) in
+      | Kflt, v ->
           Some
             (fun fr ->
               let b = gb fr in
               let i = idx fr b in
               match b.R.data with
-              | R.F a -> Array.unsafe_set a i (gv fr)
-              | R.I a -> a.(i) <- int_of_float (gv fr))
+              | R.F a -> fset a i (fget fr.flts v)
+              | R.I a -> a.(i) <- int_of_float (fget fr.flts v))
       | Kint, _ ->
           let gv = get_int f (operand 0) in
           Some
@@ -545,7 +951,8 @@ and compile_for (f : fctx) (op : Op.t) : frame -> unit =
   let arg_writers =
     Array.of_list (List.map (fun a -> write_slot (def f a)) iter_args)
   in
-  let body = compile_block f blk in
+  let ops = compile_ops f blk in
+  let body = block_of ops in
   let n_carried = Array.length arg_writers in
   if Array.length init_readers <> n_carried then
     unsupported "scf.for: %d init operands for %d iteration arguments"
@@ -563,16 +970,36 @@ and compile_for (f : fctx) (op : Op.t) : frame -> unit =
   then
     unsupported "scf.for: %d results for %d carried values"
       (Array.length res_writers) n_carried;
-  if n_carried = 0 then fun fr ->
-    let lo = glo fr and hi = ghi fr and step = gstep fr in
-    if step <= 0 then R.error "scf.for: step must be positive";
-    let i = ref lo in
-    while !i < hi do
-      Array.unsafe_set fr.ints iv_slot !i;
-      exec_block body fr;
-      i := !i + step
-    done
-  else fun fr ->
+  let kernel =
+    if List.exists (fun (o, _) -> Op.exists is_loop o) (fst ops) then None
+    else begin
+      f.loops <- f.loops + 1;
+      let k = if n_carried = 0 then fuse_body f iv iv_slot (fst ops) else None in
+      if k <> None then f.kernels <- f.kernels + 1;
+      k
+    end
+  in
+  match kernel with
+  | Some k ->
+      fun fr ->
+        let lo = glo fr and hi = ghi fr and step = gstep fr in
+        if step <= 0 then R.error "scf.for: step must be positive";
+        (* The last iteration is [lo + n1 * step], unless [hi - lo] or
+           [hi + step] wraps: such entries run per op. *)
+        let n1 = (hi - lo - 1) / step in
+        if
+          hi > lo
+          && hi - lo > 0
+          && hi <= max_int - step
+          && bind_kernel k fr ~iv0: lo ~n1 ~step
+        then run_loop k.k_body fr iv_slot lo hi step
+        else run_loop body.stmts fr iv_slot lo hi step
+  | None when n_carried = 0 ->
+      fun fr ->
+        let lo = glo fr and hi = ghi fr and step = gstep fr in
+        if step <= 0 then R.error "scf.for: step must be positive";
+        run_loop body.stmts fr iv_slot lo hi step
+  | None -> fun fr ->
     let lo = glo fr and hi = ghi fr and step = gstep fr in
     if step <= 0 then R.error "scf.for: step must be positive";
     for k = 0 to n_carried - 1 do
@@ -753,19 +1180,24 @@ and compile_call (f : fctx) (op : Op.t) : frame -> unit =
         | Some results -> write_results op res_writers fr results
         | None -> R.error "call to undefined function %s" callee)
 
-and compile_block (f : fctx) (blk : Op.block) : cblock =
+(* A block's non-terminator ops, each with its closure ([None] for ops
+   that compile to nothing), and the terminator's operand readers. *)
+and compile_ops (f : fctx) (blk : Op.block) :
+    (Op.t * (frame -> unit) option) list * (frame -> R.t) array =
   let rec go acc = function
     | [] -> (List.rev acc, [||])
     | [ last ] when is_terminator last.Op.name ->
-        (List.rev acc,
-         Array.of_list (List.map (read f) last.Op.operands))
-    | op :: rest -> (
-        match compile_op f op with
-        | Some s -> go (s :: acc) rest
-        | None -> go acc rest)
+        (List.rev acc, Array.of_list (List.map (read f) last.Op.operands))
+    | op :: rest -> go ((op, compile_op f op) :: acc) rest
   in
-  let stmts, ret = go [] blk.Op.ops in
-  { stmts = Array.of_list stmts; ret }
+  go [] blk.Op.ops
+
+and block_of ((ops, ret) : (Op.t * (frame -> unit) option) list * _) : cblock
+    =
+  { stmts = Array.of_list (List.filter_map snd ops); ret }
+
+and compile_block (f : fctx) (blk : Op.block) : cblock =
+  block_of (compile_ops f blk)
 
 and compile_func (cm : cmodule) (name : string) : cfunc =
   match Hashtbl.find_opt cm.compiled name with
@@ -775,7 +1207,8 @@ and compile_func (cm : cmodule) (name : string) : cfunc =
       | Some fop when fop.Op.regions <> [] ->
           let f =
             { cm; slots = Hashtbl.create 64; n_int = 0; n_flt = 0;
-              n_obj = 0; omp_nt = None }
+              n_obj = 0; n_fbuf = 0; omp_nt = None; loops = 0;
+              kernels = 0 }
           in
           let blk = Op.single_block (List.hd fop.Op.regions) in
           let params =
@@ -789,7 +1222,10 @@ and compile_func (cm : cmodule) (name : string) : cfunc =
               cf_n_int = f.n_int;
               cf_n_flt = f.n_flt;
               cf_n_obj = f.n_obj;
+              cf_n_fbuf = f.n_fbuf;
               cf_body = body;
+              cf_loops = f.loops;
+              cf_kernels = f.kernels;
             }
           in
           Hashtbl.replace cm.compiled name cf;
@@ -817,33 +1253,47 @@ let compile_count () = Atomic.get compilations
 
 let no_externs : Interp.Executor.externs = fun _ _ -> None
 
+(* [(kernels, loops)]: of the module's [loops] innermost scf.for loops,
+   how many compiled to fused kernels.  A loop that misses the kernel
+   subset runs per op, several times slower: tests pin this count for
+   the benchmark programs, and the closure-compile span reports it. *)
+let kernel_coverage (cm : cmodule) : int * int =
+  Hashtbl.fold
+    (fun _ cf (k, l) -> (k + cf.cf_kernels, l + cf.cf_loops))
+    cm.compiled (0, 0)
+
+(* Ahead of time: every function with a body compiles before anything
+   runs, so unsupported ops surface as [Unsupported] here, not mid-run,
+   and the returned module is immutable — ranks and cached runs share
+   it without synchronization. *)
+let compile_module (m : Op.t) : cmodule =
+  Obs.Trace.with_span ~cat: "exec" "closure-compile" (fun () ->
+      Atomic.incr compilations;
+      let funcs = Hashtbl.create 16 in
+      List.iter
+        (fun (op : Op.t) ->
+          if op.Op.name = "func.func" then
+            match Op.attr op "sym_name" with
+            | Some (Typesys.String_attr name) -> Hashtbl.replace funcs name op
+            | _ -> ())
+        (Op.module_ops m);
+      let cm = { funcs; compiled = Hashtbl.create 16 } in
+      Hashtbl.iter
+        (fun name (fop : Op.t) ->
+          if fop.Op.regions <> [] then ignore (compile_func cm name))
+        funcs;
+      let kernels, loops = kernel_coverage cm in
+      Obs.Trace.instant ~cat: "exec" "kernel-coverage"
+        ~args: [ ("kernels", Obs.Int kernels); ("innermost_loops", Obs.Int loops) ];
+      cm)
+
 module Compiled : Interp.Executor.EXECUTOR = struct
   let name = "compiled"
 
   type shared_prog = cmodule
   type nonrec prog = prog
 
-  (* Ahead of time: every function with a body compiles before anything
-     runs, so unsupported ops surface as [Unsupported] here, not mid-run,
-     and the returned module is immutable — ranks and cached runs share
-     it without synchronization. *)
-  let compile (m : Op.t) : cmodule =
-    Obs.Trace.with_span ~cat: "exec" "closure-compile" (fun () ->
-        Atomic.incr compilations;
-        let funcs = Hashtbl.create 16 in
-        List.iter
-          (fun (op : Op.t) ->
-            if op.Op.name = "func.func" then
-              match Op.attr op "sym_name" with
-              | Some (Typesys.String_attr name) -> Hashtbl.replace funcs name op
-              | _ -> ())
-          (Op.module_ops m);
-        let cm = { funcs; compiled = Hashtbl.create 16 } in
-        Hashtbl.iter
-          (fun name (fop : Op.t) ->
-            if fop.Op.regions <> [] then ignore (compile_func cm name))
-          funcs;
-        cm)
+  let compile = compile_module
 
   (* [threads > 1] spins up this instance's worker pool; the domains
      are joined by [release], which every instance owner must call (the

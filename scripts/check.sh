@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repo check: formatting, full build, full test suite (which also pins the
 # reference-model scaling curves of BENCH_scaling.json exactly), smoke runs
-# of the parallel (OCaml-domains) execution path through the CLI, the scale
+# of the parallel (OCaml-domains) execution path through the CLI, a
+# correctness-only pass of perfbench's solve and halo workloads, the scale
 # bench smoke (which exits non-zero on a validation row out of bound or a
 # tuner loss), and the fig8/fig11 scaling figures.
 # Run from anywhere; operates on the repo root.
@@ -148,6 +149,25 @@ ls "$sockdir/store"/*.art > /dev/null 2>&1 || {
   exit 1
 }
 rm -rf "$sockdir"
+
+# Benchmark correctness: perfbench's solve and halo workloads run heat2d
+# and wave2d so=8 through a socket daemon on real rank domains, so every
+# innermost loop runs as a fused kernel, and each job's gathered result
+# is checked bitwise against the serial interpreter.  Only correctness
+# gates here (every job correct, none failed); the timings are
+# perfbench's own business.
+for workload in solve halo; do
+  line="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+    --seconds 3 --trace 0 | tail -n 1)"
+  printf '%s\n' "$line" | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+' || {
+    echo "check.sh: perfbench $workload: wrong or failed jobs: $line" >&2
+    exit 1
+  }
+done
 
 # Timeline-analytics smoke: --report must print the per-rank breakdown,
 # the comm matrix, a critical path, an overlap figure and the alpha-beta

@@ -168,6 +168,328 @@ let differential_prop =
          itself under Stdlib.compare, matching interpreter semantics. *)
       Stdlib.compare interp compiled = 0)
 
+(* --- fused inner loops: generated memref loop programs --- *)
+
+(* One coordinate of an access, [ci * iv + co * outer + c]: [iv] is the
+   innermost induction variable, [outer] the enclosing loop's. *)
+type coord = { ci : int; co : int; c : int }
+
+type lacc = { arg : int; coords : coord list }
+
+type lfe =
+  | LLd of lacc
+  | LC of float
+  | LBin of string * lfe * lfe
+  | LNeg of lfe
+  | LSel of Arith.predicate * lfe * lfe * lfe * lfe
+  | LPrev of int  (* the value an earlier store of the body stored *)
+
+type lprog = {
+  shapes : int list array;  (* three float memref arguments *)
+  los : int list array;  (* their runtime buffers' logical lower bounds *)
+  outer : int;  (* trip count of the enclosing loop *)
+  lo : int;
+  hi : int;
+  step : int;
+  body : (lacc * lfe) list;  (* stores, each of an expression over loads *)
+  alias : bool;  (* argument 1 is bound to argument 0's buffer *)
+  int_buf : bool;  (* argument 2 is bound to an int-typed buffer *)
+  nonaffine : bool;  (* one coordinate squares iv: the body cannot fuse *)
+}
+
+(* Values [ci * iv + co * outer] take over the loop nest. *)
+let coord_range p { ci; co; _ } =
+  let last = p.lo + (max 0 ((p.hi - p.lo - 1) / p.step) * p.step) in
+  let ends = [ ci * p.lo; ci * last ] in
+  let lo_o = List.fold_left min max_int ends
+  and hi_o = List.fold_left max min_int ends in
+  (lo_o, hi_o + (co * (p.outer - 1)))
+
+(* Shift most coordinates so the whole nest stays in range: the
+   differential then compares results, not only errors.  A fitted
+   coordinate keeps [c] as its offset within the slack, so accesses to
+   one buffer alias at different distances.  The rest keep [c] as their
+   offset and may leave the buffer at any iteration. *)
+let fit p (fit_it : bool) (a : lacc) =
+  if not fit_it then a
+  else
+    let ext = Array.of_list p.shapes.(a.arg)
+    and lo = Array.of_list p.los.(a.arg) in
+    {
+      a with
+      coords =
+        List.mapi
+          (fun d (k : coord) ->
+            let mn, mx = coord_range p k in
+            let slack = ext.(d) - 1 - (mx - mn) in
+            if slack >= 0 then { k with c = lo.(d) - mn + (k.c mod (slack + 1)) }
+            else k)
+          a.coords;
+    }
+
+(* Half the programs are short (up to 6 iterations per entry, any
+   coefficient), half long (4 to 13 iterations, coefficients -1..1, and
+   extents that leave room to fit): most long entries bind and run
+   fused. *)
+let gen_lprog : lprog QCheck.Gen.t =
+  let open QCheck.Gen in
+  bool >>= fun long ->
+  (if long then 4 -- 13 else 0 -- 6) >>= fun trip ->
+  let gen_shape =
+    list_size (1 -- 3) (if long then trip + 3 -- (trip + 8) else 3 -- 9)
+  in
+  let gen_coord =
+    map3
+      (fun ci co c -> { ci; co; c })
+      (if long then -1 -- 1 else -2 -- 2)
+      (0 -- 1) (0 -- 5)
+  in
+  gen_shape >>= fun s0 ->
+  gen_shape >>= fun s1 ->
+  gen_shape >>= fun s2 ->
+  bool >>= fun alias ->
+  let shapes = [| s0; (if alias then s0 else s1); s2 |] in
+  let gen_lo sh = flatten_l (List.map (fun _ -> -2 -- 2) sh) in
+  gen_lo s0 >>= fun l0 ->
+  gen_lo s1 >>= fun l1 ->
+  gen_lo s2 >>= fun l2 ->
+  let los = [| l0; (if alias then l0 else l1); l2 |] in
+  let gen_acc =
+    int_bound 2 >>= fun arg ->
+    map
+      (fun coords -> { arg; coords })
+      (flatten_l (List.map (fun _ -> gen_coord) shapes.(arg)))
+  in
+  let gen_fe =
+    sized_size (0 -- 4)
+    @@ fix (fun self n ->
+           if n <= 0 then
+             frequency
+               [ (4, map (fun a -> LLd a) gen_acc);
+                 (1, map (fun c -> LC c) (float_range (-4.) 4.));
+                 (1, map (fun k -> LPrev k) (0 -- 2)) ]
+           else
+             let sub = self (n / 2) in
+             frequency
+               [
+                 (2, map (fun a -> LLd a) gen_acc);
+                 ( 4,
+                   map3
+                     (fun o a b -> LBin (o, a, b))
+                     (oneofl Arith.float_binops) sub sub );
+                 (1, map (fun a -> LNeg a) sub);
+                 ( 1,
+                   map2
+                     (fun (p, a, b) (c, d) -> LSel (p, a, b, c, d))
+                     (triple gen_pred sub sub) (pair sub sub) );
+               ])
+  in
+  1 -- 3 >>= fun outer ->
+  -2 -- 3 >>= fun lo ->
+  (if long then return 1 else 1 -- 3) >>= fun step ->
+  list_size (1 -- 3) (pair gen_acc gen_fe) >>= fun body ->
+  frequency [ (6, return true); (1, return false) ] >>= fun fit_all ->
+  bool >>= fun int_buf ->
+  frequency [ (6, return false); (1, return true) ] >>= fun nonaffine ->
+  let p =
+    { shapes; los; outer; lo; hi = lo + trip; step; body; alias; int_buf;
+      nonaffine }
+  in
+  let rec fit_fe = function
+    | LLd a -> LLd (fit p fit_all a)
+    | LC c -> LC c
+    | LBin (o, a, b) -> LBin (o, fit_fe a, fit_fe b)
+    | LNeg a -> LNeg (fit_fe a)
+    | LSel (q, a, b, c, d) -> LSel (q, fit_fe a, fit_fe b, fit_fe c, fit_fe d)
+    | LPrev k -> LPrev k
+  in
+  return
+    { p with
+      body = List.map (fun (a, e) -> (fit p fit_all a, fit_fe e)) body }
+
+let lprog_module (p : lprog) : Op.t =
+  let arg_tys =
+    Array.to_list (Array.map (fun sh -> Typesys.Memref (sh, Typesys.f64)) p.shapes)
+  in
+  let f =
+    Func.define "main" ~arg_tys ~res_tys: [] (fun bld args ->
+        let args = Array.of_list args in
+        let idx b k = Arith.const_index b k in
+        (* Offsets defined outside the loops: loop-invariant operands. *)
+        let outer_c = Hashtbl.create 8 in
+        let const_out k =
+          match Hashtbl.find_opt outer_c k with
+          | Some v -> v
+          | None ->
+              let v = idx bld k in
+              Hashtbl.replace outer_c k v;
+              v
+        in
+        let _ =
+          Scf.for_op bld ~lo: (idx bld 0) ~hi: (idx bld p.outer)
+            ~step: (idx bld 1) (fun ob o _ ->
+              let _ =
+                Scf.for_op ob ~lo: (idx ob p.lo) ~hi: (idx ob p.hi)
+                  ~step: (idx ob p.step) (fun b iv _ ->
+                    let coord first { ci; co; c } =
+                      let t =
+                        match ci with
+                        | 0 -> idx b 0
+                        | 1 -> iv
+                        | -1 -> Arith.sub_i b (idx b 0) iv
+                        | k -> Arith.mul_i b (idx b k) iv
+                      in
+                      let t =
+                        if co = 0 then t
+                        else
+                          Arith.add_i b t
+                            (Arith.index_cast_op b
+                               (Arith.index_cast_op b o Typesys.i64)
+                               Typesys.Index)
+                      in
+                      let t =
+                        if first && p.nonaffine then Arith.add_i b t (Arith.mul_i b iv iv)
+                        else t
+                      in
+                      (* Alternate in-body and outer constants. *)
+                      if c land 1 = 0 then Arith.add_i b t (idx b c)
+                      else Arith.sub_i b t (const_out (-c))
+                    in
+                    let coords a = List.mapi (fun d k -> coord (d = 0) k) a.coords in
+                    let stored = ref [] in
+                    let rec fe = function
+                      | LPrev k -> (
+                          match !stored with
+                          | [] -> Arith.const_float b 1.
+                          | vs -> List.nth vs (k mod List.length vs))
+                      | LLd a -> Memref.load_op b args.(a.arg) (coords a)
+                      | LC c -> Arith.const_float b c
+                      | LBin (o, x, y) ->
+                          let x = fe x in
+                          Arith.binop b o x (fe y)
+                      | LNeg x -> Arith.neg_f b (fe x)
+                      | LSel (q, x, y, u, w) ->
+                          let x = fe x in
+                          let cond = Arith.cmp_f b q x (fe y) in
+                          let u = fe u in
+                          Arith.select_op b cond u (fe w)
+                    in
+                    List.iter
+                      (fun (a, e) ->
+                        let v = fe e in
+                        stored := v :: !stored;
+                        Memref.store_op b v args.(a.arg) (coords a))
+                      p.body;
+                    Scf.yield_op b [])
+              in
+              Scf.yield_op ob [])
+        in
+        Func.return_op bld [])
+  in
+  Op.module_op [ f ]
+
+(* Runs [p] on fresh buffers; the outcome is the error message, if any,
+   and every buffer's contents bit for bit (partial writes included). *)
+let lprog_outcome (e : Interp.Executor.t) (p : lprog) m =
+  let fbuf k seed =
+    let b = R.alloc_buffer ~lo: p.los.(k) p.shapes.(k) Typesys.f64 in
+    R.fill b (fun i -> float_of_int (((i * 7) + seed) mod 11) -. 3.5);
+    b
+  in
+  let b0 = fbuf 0 1 in
+  let b1 = if p.alias then b0 else fbuf 1 2 in
+  let b2 =
+    if p.int_buf then begin
+      let b = R.alloc_buffer ~lo: p.los.(2) p.shapes.(2) Typesys.i64 in
+      R.fill b (fun i -> float_of_int ((i mod 5) - 2));
+      b
+    end
+    else fbuf 2 3
+  in
+  let bufs = [ b0; b1; b2 ] in
+  let err =
+    match run_on e m "main" (List.map (fun b -> R.Rbuf b) bufs) with
+    | _ -> None
+    | exception R.Runtime_error msg -> Some msg
+  in
+  let bits (b : R.buffer) =
+    match b.R.data with
+    | R.F a -> Array.map Int64.bits_of_float a
+    | R.I a -> Array.map Int64.of_int a
+  in
+  (err, List.map bits bufs)
+
+let fused_loops_prop =
+  QCheck.Test.make ~count: 400
+    ~name: "fused inner loops: compiled == interpreted, bitwise"
+    (QCheck.make gen_lprog ~print: (fun p ->
+         Printf.sprintf "alias=%b int_buf=%b nonaffine=%b\n%s" p.alias
+           p.int_buf p.nonaffine
+           (Printer.module_to_string (lprog_module p))))
+    (fun p ->
+      let m = lprog_module p in
+      let coverage = Exec_compile.kernel_coverage (Exec_compile.compile_module m) in
+      coverage = ((if p.nonaffine then 0 else 1), 1)
+      && lprog_outcome Interp.Executor.interpreter p m
+         = lprog_outcome Exec_compile.executor p m)
+
+(* A fused entry reads and writes the flat storage directly, so every
+   dependence distance [d] through one buffer, up to and past the trip
+   count [n], must still match the interpreter: a load then a store, a
+   store then a load, and two stores. *)
+let test_dependence_distances () =
+  let program shape n d : Op.t =
+    let mem = Typesys.Memref ([ 40 ], Typesys.f64) in
+    let f =
+      Func.define "main" ~arg_tys: [ mem; mem ] ~res_tys: [] (fun bld args ->
+          let a, out =
+            match args with [ a; o ] -> (a, o) | _ -> assert false
+          in
+          let idx k = Arith.const_index bld k in
+          let _ =
+            Scf.for_op bld ~lo: (idx 10) ~hi: (idx (10 + n)) ~step: (idx 1)
+              (fun b i _ ->
+                let shifted = Arith.add_i b i (Arith.const_index b d) in
+                let one = Arith.const_float b 1. in
+                (match shape with
+                | `Load_store ->
+                    let x = Memref.load_op b a [ shifted ] in
+                    Memref.store_op b (Arith.add_f b x one) a [ i ]
+                | `Store_load ->
+                    Memref.store_op b (Arith.const_float b 7.) a [ i ];
+                    Memref.store_op b (Memref.load_op b a [ shifted ]) out [ i ]
+                | `Store_store ->
+                    Memref.store_op b one a [ i ];
+                    Memref.store_op b (Arith.const_float b 2.) a [ shifted ]);
+                Scf.yield_op b [])
+          in
+          Func.return_op bld [])
+    in
+    Op.module_op [ f ]
+  in
+  let outcome e m =
+    let buf () =
+      let b = R.alloc_buffer [ 40 ] Typesys.f64 in
+      R.fill b float_of_int;
+      b
+    in
+    let a = buf () and out = buf () in
+    ignore (run_on e m "main" [ R.Rbuf a; R.Rbuf out ]);
+    (R.float_contents a, R.float_contents out)
+  in
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun n ->
+          for d = -8 to 8 do
+            let m = program shape n d in
+            if outcome Interp.Executor.interpreter m
+               <> outcome Exec_compile.executor m
+            then Alcotest.failf "n=%d d=%d: compiled differs" n d
+          done)
+        [ 4; 5; 7 ])
+    [ `Load_store; `Store_load; `Store_store ]
+
 (* --- lowered stencil programs --- *)
 
 let lowered_equivalence name m args_of =
@@ -308,9 +630,9 @@ let test_of_name () =
 (* --- full harness equivalence: compiled-par == compiled-sim ==
    interpreted-serial, exactly --- *)
 
-let wave_module ~shape ~timesteps : Op.t =
+let wave_module ?(so = 4) ~shape ~timesteps () : Op.t =
   let g = Devito.Symbolic.grid ~dt: 0.02 shape in
-  let u = Devito.Symbolic.function_ ~space_order: 4 ~time_order: 2 "u" g in
+  let u = Devito.Symbolic.function_ ~space_order: so ~time_order: 2 "u" g in
   let eqn =
     Devito.Symbolic.eq (Devito.Symbolic.Dt2 u)
       Devito.Symbolic.(f 2.25 *: laplace u)
@@ -321,7 +643,7 @@ let test_harness_equivalence_compiled () =
   let workloads =
     [
       ("heat2d", Programs.heat2d_timeloop_module ~nx: 16 ~ny: 16 ~steps: 2);
-      ("wave", wave_module ~shape: [ 16; 16 ] ~timesteps: 2);
+      ("wave", wave_module ~shape: [ 16; 16 ] ~timesteps: 2 ());
     ]
   in
   List.iter
@@ -392,6 +714,128 @@ let test_pinned_traffic () =
         (Driver.Harness.max_result_diff par sim))
     [ (1, true, 0, 0); (2, true, 4, 256); (2, false, 4, 256) ]
 
+(* --- the hot path allocates nothing per cell update --- *)
+
+(* Minor-heap words of one run of lowered heat2d (cpu-sequential) at
+   n x n, compiled once and warmed by a first run, and its cell updates.
+   Nothing is timed. *)
+let heat_run_words n =
+  let steps = 4 in
+  let lowered =
+    Core.Pipeline.compile ~verify: false Core.Pipeline.Cpu_sequential
+      (Programs.heat2d_timeloop_module ~nx: n ~ny: n ~steps)
+  in
+  let module C = Exec_compile.Compiled in
+  let prog = C.instantiate (C.compile lowered) in
+  let field () =
+    R.Rbuf
+      (Driver.Harness.rebase
+         (Programs.make_field_2d ~nx: n ~ny: n (fun i j ->
+              float_of_int (i - (2 * j)))))
+  in
+  let args = [ field (); field () ] in
+  ignore (C.run prog "run" args);
+  let w0 = Gc.minor_words () in
+  ignore (C.run prog "run" args);
+  (Gc.minor_words () -. w0, float_of_int (n * n * steps))
+
+(* func @main(%b: memref<1000xf64>, %n: index): one loop over [0, n)
+   through every direct-slot op (float binops, negf, cmpf/cmpi, selects,
+   casts, int binops, load, store).  sitofp keeps it out of the kernel
+   subset, so the per-op closures run. *)
+let ops_loop_module () : Op.t =
+  let f =
+    Func.define "main"
+      ~arg_tys: [ Typesys.Memref ([ 1000 ], Typesys.f64); Typesys.Index ]
+      ~res_tys: [] (fun bld args ->
+        match args with
+        | [ buf; n ] ->
+            let idx k = Arith.const_index bld k in
+            let c1 = Arith.const_float bld 3.5 and c2 = Arith.const_float bld 7. in
+            let _ =
+              Scf.for_op bld ~lo: (idx 0) ~hi: n ~step: (idx 1) (fun b iv _ ->
+                  let x =
+                    Arith.si_to_fp b (Arith.index_cast_op b iv Typesys.i64)
+                      Typesys.f64
+                  in
+                  let y = Arith.max_f b x c1 in
+                  let z = Arith.min_f b y c2 in
+                  let w = Arith.neg_f b (Arith.div_f b z c1) in
+                  let s =
+                    Arith.select_op b (Arith.cmp_f b Arith.Lt w y) w
+                      (Arith.sub_f b (Arith.mul_f b z x) (Memref.load_op b buf [ iv ]))
+                  in
+                  let k = Builder.emit1 b Arith.fptosi Typesys.Index ~operands: [ s ] in
+                  let k =
+                    Arith.select_op b (Arith.cmp_i b Arith.Ge k iv)
+                      (Arith.rem_i b (Arith.mul_i b k iv) (idx 7))
+                      (Arith.div_i b (Arith.add_i b k iv) (idx 3))
+                  in
+                  let s = Arith.add_f b s (Arith.si_to_fp b k Typesys.f64) in
+                  Memref.store_op b s buf [ iv ];
+                  Scf.yield_op b [])
+            in
+            Func.return_op bld []
+        | _ -> assert false)
+  in
+  Op.module_op [ f ]
+
+let test_no_allocation_per_cell () =
+  let w32, _ = heat_run_words 32 in
+  let w96, cells96 = heat_run_words 96 in
+  if w96 > w32 +. 100. then
+    Alcotest.failf "heat2d: %.0f minor words at 96x96 against %.0f at 32x32" w96
+      w32;
+  check bool_c "heat2d: under 1 minor word per cell update" true
+    (w96 /. cells96 < 1.);
+  (* The per-op closures: compiled once, run at two trip counts. *)
+  let m = ops_loop_module () in
+  check (Alcotest.pair int_c int_c) "ops loop runs per op" (0, 1)
+    (Exec_compile.kernel_coverage (Exec_compile.compile_module m));
+  let module C = Exec_compile.Compiled in
+  let prog = C.instantiate (C.compile m) in
+  let buf = R.Rbuf (R.alloc_buffer [ 1000 ] Typesys.f64) in
+  let words trips =
+    ignore (C.run prog "main" [ buf; R.Ri trips ]);
+    let w0 = Gc.minor_words () in
+    ignore (C.run prog "main" [ buf; R.Ri trips ]);
+    Gc.minor_words () -. w0
+  in
+  let w10 = words 10 and w1000 = words 1000 in
+  if w1000 > w10 +. 100. then
+    Alcotest.failf "per-op loop: %.0f minor words at 1000 trips against %.0f at 10"
+      w1000 w10
+
+(* --- fusion coverage of the benchmark programs --- *)
+
+(* perfbench's solve and halo programs, lowered as it lowers them: every
+   innermost loop must compile to a kernel.  A lowering change that makes
+   a body unfusable fails here instead of running several times slower. *)
+let test_kernel_coverage () =
+  let target =
+    Core.Pipeline.Distributed_cpu
+      {
+        ranks = 2;
+        strategy = Core.Decomposition.Slice2d;
+        mode = Core.Decomposition.Faces;
+        tiles = [];
+        overlap = true;
+      }
+  in
+  List.iter
+    (fun (name, m, want) ->
+      let cm = Exec_compile.compile_module (Core.Pipeline.compile target m) in
+      check (Alcotest.pair int_c int_c)
+        (name ^ ": (kernels, innermost loops)")
+        want
+        (Exec_compile.kernel_coverage cm))
+    [
+      ("heat2d 96x96", heat_module ~shape: [ 96; 96 ] ~timesteps: 8, (5, 5));
+      ( "wave2d so=8",
+        wave_module ~so: 8 ~shape: [ 16; 64 ] ~timesteps: 40 (),
+        (2, 2) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "jacobi1d lowered: compiled == interp" `Quick
@@ -409,4 +853,11 @@ let suite =
     QCheck_alcotest.to_alcotest differential_prop;
     Alcotest.test_case "heat2d so=2 pinned traffic: par == sim == serial"
       `Quick test_pinned_traffic;
+    QCheck_alcotest.to_alcotest fused_loops_prop;
+    Alcotest.test_case "fused inner loops: dependence distances" `Quick
+      test_dependence_distances;
+    Alcotest.test_case "no minor allocation per cell update" `Quick
+      test_no_allocation_per_cell;
+    Alcotest.test_case "benchmark programs: every innermost loop fused"
+      `Quick test_kernel_coverage;
   ]
