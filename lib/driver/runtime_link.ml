@@ -29,6 +29,13 @@ module Make (M : Mpi_intf.MPI_CORE) = struct
     | Interp.Rtval.F a -> Mpi_intf.Floats (Array.copy a)
     | Interp.Rtval.I a -> Mpi_intf.Ints (Array.copy a)
 
+  (* Both substrates copy a payload when they send it, so a point-to-point
+     send hands over the buffer's storage without a copy of its own. *)
+  let send_view (b : Interp.Rtval.buffer) : Mpi_intf.payload =
+    match b.Interp.Rtval.data with
+    | Interp.Rtval.F a -> Mpi_intf.Floats a
+    | Interp.Rtval.I a -> Mpi_intf.Ints a
+
   let store_payload (b : Interp.Rtval.buffer) (p : Mpi_intf.payload) =
     match (b.Interp.Rtval.data, p) with
     | Interp.Rtval.F dst, Mpi_intf.Floats src ->
@@ -90,7 +97,7 @@ module Make (M : Mpi_intf.MPI_CORE) = struct
         let dest = int_arg 3 and tag = int_arg 4 in
         ignore count;
         let bytes = count * byte_width_of_dtype dtype in
-        let req = M.isend st.ctx ~dest ~tag ~bytes (payload_of_buffer b) in
+        let req = M.isend st.ctx ~dest ~tag ~bytes (send_view b) in
         if callee = "MPI_Send" then Some [ Ri 0 ]
         else Some [ Ri (fresh_handle st req None) ]
     | "MPI_Recv" ->
@@ -183,7 +190,7 @@ module Make (M : Mpi_intf.MPI_CORE) = struct
     | "mpi.comm_size" -> Some [ Ri (M.size st.ctx) ]
     | "mpi.send" ->
         M.send st.ctx ~dest: (int_arg 1) ~tag: (int_arg 2)
-          (payload_of_buffer (buf_arg 0));
+          (send_view (buf_arg 0));
         Some []
     | "mpi.recv" ->
         store_payload (buf_arg 0)
@@ -192,7 +199,7 @@ module Make (M : Mpi_intf.MPI_CORE) = struct
     | "mpi.isend" ->
         let req =
           M.isend st.ctx ~dest: (int_arg 1) ~tag: (int_arg 2)
-            (payload_of_buffer (buf_arg 0))
+            (send_view (buf_arg 0))
         in
         Some [ Ri (fresh_handle st req None) ]
     | "mpi.irecv" ->

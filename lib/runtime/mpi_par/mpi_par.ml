@@ -39,8 +39,9 @@ type mailbox = {
 type slot = {
   sl_mutex : Mutex.t;
   sl_cond : Condition.t;
-  mutable sl_pending : string option;
-      (* the transport operation this rank is (or may be) blocked in *)
+  mutable sl_pending : (unit -> string) option;
+      (* the transport operation this rank is (or may be) blocked in,
+         described only when a stall report asks *)
   mutable sl_done : bool;
   sl_stats : stats;
 }
@@ -181,7 +182,9 @@ let isend ctx ~dest ~tag ?bytes p =
   let nbytes = match bytes with Some b -> b | None -> payload_bytes data in
   let mb = mailbox_for comm (dest, ctx.me, tag) in
   set_pending ctx
-    (Some (Format.asprintf "isend -> %d %a (backpressure)" dest pp_tag tag));
+    (Some
+       (fun () ->
+         Format.asprintf "isend -> %d %a (backpressure)" dest pp_tag tag));
   Mutex.lock mb.mb_mutex;
   while
     Queue.length mb.mb_q >= comm.capacity && not (Atomic.get comm.poisoned)
@@ -289,7 +292,7 @@ let slot_wait ctx ~info pred =
       Mutex.unlock sl.sl_mutex
     end
     else begin
-      sl.sl_pending <- Some (info ());
+      sl.sl_pending <- Some info;
       Condition.wait sl.sl_cond sl.sl_mutex;
       loop ()
     end
@@ -302,13 +305,13 @@ let wait req =
       check_owner ctx "wait";
       (* Eager protocol: already complete, but stamp the wait span so both
          substrates' timelines carry the same events. *)
-      record ctx (Wait_begin (describe_request req));
+      if ctx.comm.trace_on then record ctx (Wait_begin (describe_request req));
       record ctx Wait_end;
       None
   | Recv_req r ->
       let ctx = r.ctx in
       check_owner ctx "wait";
-      record ctx (Wait_begin (describe_request req));
+      if ctx.comm.trace_on then record ctx (Wait_begin (describe_request req));
       slot_wait ctx
         ~info:(fun () -> "wait(" ^ describe_request req ^ ")")
         (fun () -> try_complete req);
@@ -438,7 +441,7 @@ let stall_report ~timeout comm =
       if not finished then begin
         Buffer.add_string b
           (Printf.sprintf "\n  rank %d blocked in %s" r
-             (Option.value pending ~default:"(unknown)"));
+             (match pending with Some info -> info () | None -> "(unknown)"));
         List.iter
           (fun ev ->
             Buffer.add_string b
@@ -450,15 +453,77 @@ let stall_report ~timeout comm =
     comm.slots;
   Buffer.contents b
 
+(* Rank domains outlive their run.  A rank that finished parks its domain
+   here, at most one per core, and the next run hands it a new body
+   instead of spawning a domain, which saves the spawn and the minor
+   collection that tears a domain down (about 1.5 per 2-rank run). *)
+module Pool = struct
+  type worker = {
+    w_mutex : Mutex.t;
+    w_cond : Condition.t;
+    mutable w_job : ((unit -> unit) * (unit -> unit)) option;
+  }
+
+  let lock = Mutex.create ()
+  let idle : worker list ref = ref []
+  let keep = lazy (host_cores ())
+
+  let rec serve w =
+    Mutex.lock w.w_mutex;
+    while Option.is_none w.w_job do
+      Condition.wait w.w_cond w.w_mutex
+    done;
+    let job, finish = Option.get w.w_job in
+    w.w_job <- None;
+    Mutex.unlock w.w_mutex;
+    job ();
+    let park =
+      Mutex.protect lock (fun () ->
+          let room = List.length !idle < Lazy.force keep in
+          if room then idle := w :: !idle;
+          room)
+    in
+    finish ();
+    if park then serve w
+
+  (* Run [job] then [finish], neither of which may raise, on a parked
+     domain or a new one.  The domain is parked again before [finish]
+     runs, so a run that waits for every [finish] finds its domains back
+     in the pool. *)
+  let run job finish =
+    Mutex.lock lock;
+    match !idle with
+    | w :: rest ->
+        idle := rest;
+        Mutex.unlock lock;
+        Mutex.lock w.w_mutex;
+        w.w_job <- Some (job, finish);
+        Condition.signal w.w_cond;
+        Mutex.unlock w.w_mutex
+    | [] ->
+        Mutex.unlock lock;
+        let w =
+          {
+            w_mutex = Mutex.create ();
+            w_cond = Condition.create ();
+            w_job = Some (job, finish);
+          }
+        in
+        ignore (Domain.spawn (fun () -> serve w))
+end
+
 let run_with ?stall_timeout_s ?queue_capacity ?(trace = false) ~ranks body =
   if ranks < 1 then raise (Mpi_error "run: ranks must be >= 1");
   let timeout = Option.value stall_timeout_s ~default: watchdog_timeout_s in
   let capacity = Option.value queue_capacity ~default: mailbox_capacity in
   if capacity < 1 then raise (Mpi_error "run: queue capacity must be >= 1");
   let comm = make_comm ~trace ~ranks ~capacity in
+  (* The last rank to finish writes one byte here, so the watchdog below
+     wakes the moment the run is over instead of at its next poll. *)
+  let done_r, done_w = Unix.pipe ~cloexec: true () in
   let failures = Array.make ranks None in
   let domain_body r () =
-    (* Runs inside the spawned domain: this domain IS the rank's main
+    (* Runs inside the rank's domain: this domain IS the rank's main
        domain, so its id is the mailbox owner for the whole rank body. *)
     let ctx = { comm; me = r; owner = (Domain.self () :> int) } in
     (try body ctx with
@@ -471,14 +536,21 @@ let run_with ?stall_timeout_s ?queue_capacity ?(trace = false) ~ranks body =
     Mutex.lock sl.sl_mutex;
     sl.sl_done <- true;
     sl.sl_pending <- None;
-    Mutex.unlock sl.sl_mutex;
-    Atomic.incr comm.finished
+    Mutex.unlock sl.sl_mutex
   in
-  let domains = Array.init ranks (fun r -> Domain.spawn (domain_body r)) in
-  (* Watchdog: the spawning thread polls until every domain finished.  A
-     stall is declared only when no transport operation completed for
-     [timeout] seconds AND every unfinished domain is blocked in the
-     transport (a long pure-compute phase is not a stall). *)
+  let finish () =
+    if Atomic.fetch_and_add comm.finished 1 = ranks - 1 then
+      ignore (Unix.write_substring done_w "x" 0 1)
+  in
+  for r = 0 to ranks - 1 do
+    Pool.run (domain_body r) finish
+  done;
+  (* Watchdog: the calling thread sleeps on [done_r], sampling progress
+     every [poll_s], until every domain finished.  A stall is declared
+     only when no transport operation completed for [timeout] seconds AND
+     every unfinished domain is blocked in the transport (a long
+     pure-compute phase is not a stall). *)
+  let poll_s = Float.min 0.05 (timeout /. 10.) in
   let stalled = ref None in
   let last_progress = ref (Atomic.get comm.progress) in
   let last_change = ref (Unix.gettimeofday ()) in
@@ -491,8 +563,13 @@ let run_with ?stall_timeout_s ?queue_capacity ?(trace = false) ~ranks body =
         b)
       comm.slots
   in
+  let sleep () =
+    match Unix.select [ done_r ] [] [] poll_s with
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  in
   while Atomic.get comm.finished < ranks && !stalled = None do
-    Unix.sleepf 0.001;
+    sleep ();
     let p = Atomic.get comm.progress in
     if p <> !last_progress || Atomic.get comm.poisoned then begin
       last_progress := p;
@@ -505,7 +582,12 @@ let run_with ?stall_timeout_s ?queue_capacity ?(trace = false) ~ranks body =
       broadcast_all comm
     end
   done;
-  Array.iter Domain.join domains;
+  (* A poisoned run's ranks are unwinding; wait until every one is out. *)
+  while Atomic.get comm.finished < ranks do
+    sleep ()
+  done;
+  Unix.close done_r;
+  Unix.close done_w;
   Array.iter (function Some e -> raise e | None -> ()) failures;
   (match !stalled with Some report -> raise (Stall report) | None -> ());
   comm

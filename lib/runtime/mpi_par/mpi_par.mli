@@ -1,4 +1,6 @@
 (** A true multicore SPMD substrate: each rank is an OCaml 5 [Domain].
+    Rank domains are kept between runs (at most one idle domain per
+    core) and reused by the next run instead of being spawned again.
 
     Transport is shared-memory: one bounded FIFO mailbox per
     (destination, source, tag) triple, guarded by a mutex/condvar pair,

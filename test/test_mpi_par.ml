@@ -307,6 +307,40 @@ let test_traffic_and_timeline () =
   in
   check (Alcotest.list int_c) "dense seq" (List.init (List.length seqs) Fun.id) seqs
 
+(* Rank domains are parked between runs: a second run with no more ranks
+   than cores gets exactly the first run's domains back. *)
+let test_domains_reused () =
+  let ranks = min 2 (Mpi_par.host_cores ()) in
+  let ids () =
+    let lock = Mutex.create () and seen = ref [] in
+    ignore
+      (Mpi_par.run ~ranks (fun _ ->
+           let id = (Domain.self () :> int) in
+           Mutex.protect lock (fun () -> seen := id :: !seen)));
+    List.sort compare !seen
+  in
+  let first = ids () in
+  check (Alcotest.list int_c) "same domains" first (ids ());
+  check (Alcotest.list int_c) "and again" first (ids ())
+
+(* Pending operations are described only when a report is built; a
+   sender stuck on a full mailbox must still be named in it. *)
+let test_stall_report_names_backpressure () =
+  match
+    Mpi_par.run_with ~queue_capacity: 1 ~stall_timeout_s: 0.3 ~ranks: 2
+      (fun ctx ->
+        if Mpi_par.rank ctx = 0 then
+          for _ = 1 to 2 do
+            Mpi_par.send ctx ~dest: 1 ~tag: 3 (floats [| 1. |])
+          done
+        else ignore (Mpi_par.recv ctx ~source: 0 ~tag: 4))
+  with
+  | _ -> Alcotest.fail "expected a stall"
+  | exception Mpi_par.Stall report ->
+      contains report "isend -> 1";
+      contains report "(backpressure)";
+      contains report "wait(recv <- 0"
+
 (* --- end-to-end: the distributed pipeline on domains vs fibers --- *)
 
 let test_harness_equivalence () =
@@ -348,4 +382,8 @@ let suite =
       Alcotest.test_case "traffic + timeline" `Quick test_traffic_and_timeline;
       Alcotest.test_case "distributed pipeline: par == sim == serial" `Quick
         test_harness_equivalence;
+      Alcotest.test_case "rank domains reused across runs" `Quick
+        test_domains_reused;
+      Alcotest.test_case "stall report names a backpressured send" `Quick
+        test_stall_report_names_backpressure;
     ]
