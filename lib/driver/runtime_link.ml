@@ -62,6 +62,13 @@ module Make (M : Mpi_intf.MPI_CORE) = struct
       | Some rb -> Some rb
       | None -> Interp.Rtval.error "unknown MPI request handle %d" h
 
+  (* [lookup_request] for a handle known not to be null, without the
+     option. *)
+  let request st h =
+    match Hashtbl.find st.requests h with
+    | rb -> rb
+    | exception Not_found -> Interp.Rtval.error "unknown MPI request handle %d" h
+
   let complete_recv (req, buf) =
     match (M.wait req, buf) with
     | Some payload, Some b -> store_payload b payload
@@ -121,12 +128,27 @@ module Make (M : Mpi_intf.MPI_CORE) = struct
         | Some (req, _) -> Some [ Ri (if M.test req then 1 else 0) ]
         | None -> Some [ Ri 1 ])
     | "MPI_Waitall" ->
+        (* Walks the handle buffer directly: the request list passed to
+           the substrate is the only allocation. *)
         let count = int_arg 0 in
-        let arr = buf_arg 1 in
-        let handles = List.init count (fun i -> as_int (get_linear arr i)) in
-        let reqs = List.filter_map (lookup_request st) handles in
-        M.waitall (List.map fst reqs);
-        List.iter complete_recv reqs;
+        let handle =
+          match (buf_arg 1).data with
+          | I a -> fun i -> a.(i)
+          | F _ -> fun _ -> error "expected integer value, got float"
+        in
+        let rec reqs i acc =
+          if i < 0 then acc
+          else
+            let h = handle i in
+            reqs (i - 1)
+              (if h = Core.Mpi.Mpich.request_null then acc
+               else fst (request st h) :: acc)
+        in
+        M.waitall (reqs (count - 1) []);
+        for i = 0 to count - 1 do
+          let h = handle i in
+          if h <> Core.Mpi.Mpich.request_null then complete_recv (request st h)
+        done;
         Some [ Ri 0 ]
     | "MPI_Barrier" ->
         M.barrier st.ctx;

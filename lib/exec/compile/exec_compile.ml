@@ -19,11 +19,16 @@
      float] accessor or a [float -> float -> float] operator closure boxes
      every float it returns, so only operands of another kind (an int read
      as a float, a boxed object) go through such accessors;
-   - an innermost [scf.for] without carried values whose body is only
-     affine index arithmetic, float loads/stores and float arith compiles
-     to a fused kernel (see "fused inner loops" below): its index
-     arithmetic is bound once per loop entry, and each access becomes one
-     array read or write at [off + iv * stride];
+   - a perfect nest of [scf.for] loops without carried values, whose
+     innermost body is only affine index arithmetic, float loads/stores
+     and float arith, runs as one generated C function (see "native loop
+     nests" below): the entry check, in OCaml, binds each access at the
+     corners of the nest's iteration box, and the C loops read and write
+     the flat float storage at [off + sum_l j_l * stride_l].  The C is
+     built with cc at the module's first execution (one cc run per
+     module, into a process-wide table keyed by the C text), never at
+     [compile]; an entry that fails its check, or a process without cc,
+     runs the per-op closures;
    - external calls (the MPI_* symbols a fully lowered module contains) are
      pre-bound at compile time: the dispatch op handed to the externs
      handler is built once per call site, and arguments are boxed only at
@@ -68,8 +73,8 @@ let unsupported fmt =
    than capturing it in the compiled closures) is what makes compilation
    rank-independent.  [pool] is the rank's omp worker pool ([None] on
    sequential instances and inside worker frames — workers never spawn
-   nested parallelism).  [fbufs] holds the float storage a fused kernel
-   binds at loop entry, one cell per access (see [bind_kernel]). *)
+   nested parallelism).  [fbufs] holds the float storage a native nest
+   binds at entry, one cell per access (see [bind_access]). *)
 type frame = {
   ints : int array;
   flts : float array;
@@ -89,6 +94,46 @@ let kind_of_ty (t : Typesys.ty) : kind =
 
 type slot = kind * int
 
+(* ---------- native loop nest descriptions (see "native loop nests") ---------- *)
+
+(* An affine body int [base + sum_l coef_l * iv_l]: [ab] and [ac.(l)] are
+   the int slots the entry program fills; a structurally zero coefficient
+   is the shared [zero] slot. *)
+type aff = { ab : int; ac : int array }
+
+(* One step of the entry program, over int slots. *)
+type aff_op =
+  | Aset of int * int  (* d <- constant *)
+  | Aadd of int * int * int  (* d <- x + y *)
+  | Asub of int * int * int  (* d <- x - y *)
+  | Amul of int * int * int  (* d <- x * y *)
+
+(* A float access of the body: [buf] is the objs slot of its buffer and
+   [dims] its coordinates.  Binding stores the buffer's storage in
+   [fbufs.(fb)], its linear index at the first corner in [off] and its
+   stride per level in [str] (all int slots). *)
+type access = {
+  buf : int;
+  dims : aff array;
+  fb : int;
+  off : int;
+  str : int array;
+}
+
+(* A nest level: the int slots its bounds are read from at entry, and the
+   one its trip count is written to. *)
+type level = { lo : int; hi : int; step : int; trip : int }
+
+type nest = {
+  n_entry : aff_op array;
+  n_lvl : level array;  (* outermost first *)
+  n_acc : access array;
+  n_fc_slot : int array;  (* body float constants: their slots ... *)
+  n_fc_val : float array;  (* ... and values *)
+  n_text : string Lazy.t;  (* the C function, printed at first lookup *)
+  mutable n_fn : nativeint;  (* the loaded kernel; 0n runs per op *)
+}
+
 (* A compiled single-block region body: straight-line statements plus
    readers for the terminator's operands (empty when the block does not
    end in scf.yield / func.return / stencil.return). *)
@@ -106,7 +151,7 @@ type cfunc = {
   cf_n_fbuf : int;
   cf_body : cblock;
   cf_loops : int;  (* innermost scf.for loops in the body *)
-  cf_kernels : int;  (* ... of which compiled to fused kernels *)
+  cf_nests : nest list;  (* native loop nests, one innermost loop each *)
 }
 
 (* The rank-independent compiled module: immutable after [compile]
@@ -115,6 +160,7 @@ type cfunc = {
 type cmodule = {
   funcs : (string, Op.t) Hashtbl.t;  (* source functions by sym_name *)
   compiled : (string, cfunc) Hashtbl.t;
+  natives : bool Atomic.t;  (* its nests' kernels are looked up or built *)
 }
 
 (* A per-rank instance: the shared compiled module plus this rank's
@@ -139,7 +185,7 @@ type fctx = {
   mutable n_fbuf : int;
   mutable omp_nt : int option;
   mutable loops : int;
-  mutable kernels : int;
+  mutable nests : nest list;
 }
 
 let def (f : fctx) (v : Value.t) : slot =
@@ -406,69 +452,57 @@ let pred_fn (op : Op.t) : int -> bool =
   | "ge" -> fun c -> c >= 0
   | p -> unsupported "unknown predicate %s" p
 
-(* ---------- fused inner loops ---------- *)
+(* ---------- native loop nests ---------- *)
 
-(* An innermost scf.for without carried values whose body holds only
+(* A perfect nest of scf.for loops without carried values runs as one
+   generated C function.  Its innermost body holds only
 
-   - index arithmetic affine in the induction variable (addi/subi,
+   - index arithmetic affine in the nest's induction variables (addi/subi,
      index_cast, int constants, muli by a loop-invariant factor),
    - float memref.load/memref.store,
-   - float arith (binops, negf, extf/truncf, cmpf, float select),
+   - float arith (binops, negf, extf/truncf, constants, cmpf, float
+     select),
 
-   runs as a kernel.  Every body int is affine, [base + coef * iv], with
-   [base] and [coef] computed once per loop entry by a short int-slot
-   program.  So each access's linear index is [off + iv * str], bound once
-   per entry from the buffer's [shape]/[lo]; the coordinates are
-   bounds-checked at the first and the last iteration, which covers every
-   iteration in between because they are affine.
+   and each enclosing loop's body only such index arithmetic and the next
+   loop, whose bounds are invariant over the nest.  Every body int is then
+   [base + sum_l coef_l * iv_l], with [base] and the [coef_l] computed
+   once per entry by a short int-slot program, so each access's linear
+   index is [off + sum_l j_l * str_l] over the nest's iteration counters
+   [j_l].
 
-   When an entry fails its check (an index out of range, an int-typed or
-   non-buffer operand, a rank mismatch, a trip count or stride that could
-   overflow), that entry runs the per-op closures instead, so errors and
-   partial writes are exactly the per-op path's.  Binding writes only
-   preallocated frame cells ([ints] slots and [fbufs]): an entry allocates
-   nothing, which matters because most innermost entries of an overlapped
-   distributed step are one-iteration boundary loops.
+   The entry check stays in OCaml: it binds every access from its
+   buffer's [shape]/[lo] and checks its coordinates at the corners of the
+   iteration box, which covers every iteration in between because they
+   are affine.  An entry that fails (an index out of range, an int-typed
+   or non-buffer operand, a rank mismatch, a step that is not positive, a
+   trip count or stride that could wrap) runs the per-op closures
+   instead, so errors and partial writes are exactly the per-op path's.
+   Binding writes only preallocated frame cells ([ints] and [flts] slots,
+   [fbufs]): an entry allocates nothing.
 
-   A bound entry runs each iteration's loads, stores and float ops in
-   their original order over the flat storage, so loads and stores that
-   alias see exactly what the per-op closures see, and results are
-   bitwise-equal to the interpreter's. *)
+   The C function keeps the loop order and the body's op order over the
+   flat storage, in IEEE doubles: no [restrict] (accesses may alias), no
+   contraction, no [-ffast-math]; [maximumf]/[minimumf] transliterate
+   [Float.max]/[Float.min] and [cmpf] [Float.compare].  So it is
+   bitwise-equal to the interpreter.  Float values stay out of the text:
+   the kernel reads every float operand from its frame slot (the entry
+   writes body constants there), so programs that differ only in a
+   coefficient share one kernel.
 
-(* An affine body int [base + coef * iv]: [ab]/[ac] are the int slots the
-   entry program fills; [inv] when [coef] is structurally zero. *)
-type aff = { ab : int; ac : int; inv : bool }
+   Kernels are built at a module's first execution, never at [compile]:
+   all of a module's nests not yet loaded go through one [cc] call into a
+   shared object that is dlopen'd and unlinked, and land in a
+   process-wide table keyed by their C text.  A kernel depends only on its
+   text, so the table outlives any cached module and grows only with
+   distinct loop shapes. *)
 
-(* One step of the entry program, over int slots. *)
-type aff_op =
-  | Aset of int * int  (* d <- constant *)
-  | Aadd of int * int * int  (* d <- x + y *)
-  | Asub of int * int * int  (* d <- x - y *)
-  | Amul of int * int * int  (* d <- x * y *)
+external nk_dlopen : string -> nativeint = "nk_dlopen"
+external nk_dlsym : nativeint -> string -> nativeint = "nk_dlsym"
 
-(* A float access of the body: [buf] is the objs slot of its buffer and
-   [dims] its coordinates.  Binding stores the buffer's storage in
-   [fbufs.(fb)] and its linear index [off + iv * str] in int slots. *)
-type access = {
-  buf : int;
-  dims : aff array;
-  fb : int;
-  off : int;
-  str : int;
-}
-
-(* A body op as the kernel sees it: a float op with its per-op closure,
-   or a load into / a store from a float value. *)
-type item =
-  | Flt of Op.t * (frame -> unit)
-  | Load of access * Value.t
-  | Store of access * Value.t
-
-type kernel = {
-  k_entry : aff_op array;
-  k_acc : access array;
-  k_body : (frame -> unit) array;
-}
+external nk_call :
+  (nativeint[@unboxed]) -> float array -> float array array -> int array -> unit
+  = "nk_call_byte" "nk_call"
+[@@noalloc]
 
 let run_entry (v : int array) (prog : aff_op array) : unit =
   for j = 0 to Array.length prog - 1 do
@@ -479,53 +513,89 @@ let run_entry (v : int array) (prog : aff_op array) : unit =
     | Amul (d, x, y) -> v.(d) <- v.(x) * v.(y)
   done
 
-(* Checks coordinate [d] of [a] at the first iteration ([iv0]) and the
-   last ([iv0 + n1 * step]), and folds it into the access's offset and
-   stride (row-major Horner).  The per-op path computes the in-dimension
-   index as [base - l + coef * iv] with wrapping int arithmetic; bounding
-   [coef * step] by [s / n1] keeps every iteration's value exact, so
-   in range at both ends means in range throughout. *)
-let rec bind_dims (v : int array) (a : access) d shape lo ~iv0 ~n1 ~step =
-  match (shape, lo) with
-  | [], [] -> d = Array.length a.dims
-  | s :: shape, l :: lo when d < Array.length a.dims ->
-      let c = Array.unsafe_get a.dims d in
-      let b = v.(c.ab) - l and k = v.(c.ac) in
-      let i0 = b + (k * iv0) and dl = k * step in
-      i0 >= 0 && i0 < s
-      && (n1 = 0
-         ||
-         let q = s / n1 in
-         dl >= -q && dl <= q
-         &&
-         let last = i0 + (dl * n1) in
-         last >= 0 && last < s)
-      && begin
-           v.(a.off) <- (v.(a.off) * s) + b;
-           v.(a.str) <- (v.(a.str) * s) + k;
-           bind_dims v a (d + 1) shape lo ~iv0 ~n1 ~step
-         end
-  | _ -> false
-
-(* Binds every access for an entry running iterations [iv0],
-   [iv0 + step], ..., [iv0 + n1 * step]; false when the entry must run
-   the per-op closures. *)
-let bind_kernel (k : kernel) (fr : frame) ~iv0 ~n1 ~step : bool =
-  let v = fr.ints in
-  run_entry v k.k_entry;
-  let ok = ref true and j = ref 0 in
-  while !ok && !j < Array.length k.k_acc do
-    let a = Array.unsafe_get k.k_acc !j in
-    (match fr.objs.(a.buf) with
-    | R.Rbuf { R.data = R.F data; shape; lo; _ } ->
-        fr.fbufs.(a.fb) <- data;
-        v.(a.off) <- 0;
-        v.(a.str) <- 0;
-        ok := bind_dims v a 0 shape lo ~iv0 ~n1 ~step
-    | _ -> ok := false);
-    incr j
+(* Writes each level's trip count; false when the entry must run per op:
+   a step that is not positive, or a range whose length or last step
+   wraps. *)
+let bind_levels (v : int array) (lv : level array) : bool =
+  let ok = ref true and l = ref 0 in
+  while !ok && !l < Array.length lv do
+    let { lo; hi; step; trip } = Array.unsafe_get lv !l in
+    let lo = v.(lo) and hi = v.(hi) and step = v.(step) in
+    if step <= 0 || (hi > lo && (hi - lo <= 0 || hi > max_int - step)) then
+      ok := false
+    else v.(trip) <- (if hi > lo then ((hi - lo - 1) / step) + 1 else 0);
+    incr l
   done;
   !ok
+
+(* Checks coordinate [c] of [a], in a dimension of extent [s] and lower
+   bound [l], at the corners of the iteration box, and folds it into the
+   access's offset and strides (row-major Horner).  The per-op path
+   computes the in-dimension index with wrapping int arithmetic; bounding
+   each level's [coef * step] by [s / (trips - 1)] keeps every iteration's
+   value exact, so in range at the extreme corners means in range
+   throughout. *)
+let bind_coord (v : int array) (lv : level array) (a : access) (c : aff) s l =
+  let i0 = ref (v.(c.ab) - l) in
+  for k = 0 to Array.length lv - 1 do
+    i0 := !i0 + (v.(c.ac.(k)) * v.(lv.(k).lo))
+  done;
+  let mn = ref !i0 and mx = ref !i0 and ok = ref true in
+  for k = 0 to Array.length lv - 1 do
+    let n1 = v.(lv.(k).trip) - 1 in
+    let dl = if n1 > 0 then v.(c.ac.(k)) * v.(lv.(k).step) else 0 in
+    if n1 > 0 then begin
+      let q = s / n1 in
+      if dl < -q || dl > q then ok := false
+      else if dl < 0 then mn := !mn + (dl * n1)
+      else mx := !mx + (dl * n1)
+    end;
+    v.(a.str.(k)) <- (v.(a.str.(k)) * s) + dl
+  done;
+  v.(a.off) <- (v.(a.off) * s) + !i0;
+  !ok && !mn >= 0 && !mx < s
+
+let bind_access (fr : frame) (lv : level array) (a : access) : bool =
+  let v = fr.ints in
+  match fr.objs.(a.buf) with
+  | R.Rbuf { R.data = R.F data; shape; lo; _ } ->
+      fr.fbufs.(a.fb) <- data;
+      v.(a.off) <- 0;
+      for k = 0 to Array.length a.str - 1 do
+        v.(a.str.(k)) <- 0
+      done;
+      let rec dims d shape lo =
+        match (shape, lo) with
+        | [], [] -> d = Array.length a.dims
+        | s :: shape, l :: lo when d < Array.length a.dims ->
+            bind_coord v lv a a.dims.(d) s l && dims (d + 1) shape lo
+        | _ -> false
+      in
+      dims 0 shape lo
+  | _ -> false
+
+(* Binds an entry of [n]; false when it must run the per-op closures.  An
+   empty iteration box binds no access: the kernel then touches no
+   memory. *)
+let bind_nest (n : nest) (fr : frame) : bool =
+  let v = fr.ints in
+  run_entry v n.n_entry;
+  bind_levels v n.n_lvl
+  && begin
+       for k = 0 to Array.length n.n_fc_slot - 1 do
+         fset fr.flts n.n_fc_slot.(k) n.n_fc_val.(k)
+       done;
+       let empty = ref false in
+       for k = 0 to Array.length n.n_lvl - 1 do
+         if v.(n.n_lvl.(k).trip) = 0 then empty := true
+       done;
+       let ok = ref true and j = ref 0 in
+       while (not !empty) && !ok && !j < Array.length n.n_acc do
+         ok := bind_access fr n.n_lvl n.n_acc.(!j);
+         incr j
+       done;
+       !ok
+     end
 
 (* The iterations of a loop without carried values. *)
 let run_loop (stmts : (frame -> unit) array) (fr : frame) iv lo hi step =
@@ -538,159 +608,324 @@ let run_loop (stmts : (frame -> unit) array) (fr : frame) iv lo hi step =
     i := !i + step
   done
 
-(* Kernel accesses: the entry check made the unchecked reads safe. *)
-let load_k (a : access) iv d : frame -> unit =
-  let fb = a.fb and off = a.off and str = a.str in
-  fun fr ->
-    let v = fr.ints in
-    fset fr.flts d
-      (fget (Array.unsafe_get fr.fbufs fb) (iget v off + (iget v iv * iget v str)))
-
-let store_k (a : access) iv x : frame -> unit =
-  let fb = a.fb and off = a.off and str = a.str in
-  fun fr ->
-    let v = fr.ints in
-    fset (Array.unsafe_get fr.fbufs fb)
-      (iget v off + (iget v iv * iget v str))
-      (fget fr.flts x)
-
 exception Unfusable
 
-(* The kernel of a loop body, from its ops paired with their per-op
-   closures (which the kernel reuses for float ops: their operands all
-   sit in float slots, so those closures are the direct ones); [None]
-   when an op is outside the kernel subset. *)
-let fuse_body (f : fctx) (iv : Value.t) iv_slot
-    (ops : (Op.t * (frame -> unit) option) list) : kernel option =
-  let zero = scratch_int f and one = scratch_int f in
-  let entry = ref [ Aset (one, 1); Aset (zero, 0) ] in
-  let emit o = entry := o :: !entry in
-  let affs = Hashtbl.create 16 and local = Hashtbl.create 16 in
-  List.iter
-    (fun ((op : Op.t), _) ->
-      List.iter (fun r -> Hashtbl.replace local (Value.id r) ()) op.Op.results)
-    ops;
-  Hashtbl.replace affs (Value.id iv) { ab = zero; ac = one; inv = false };
-  let aff_of v =
-    match Hashtbl.find_opt affs (Value.id v) with
-    | Some a -> a
-    | None -> (
-        (* An int from outside the body is loop-invariant, read at entry;
-           a body int that is not affine (a cmpf result) cannot index. *)
-        match slot_exn f v with
-        | Kint, i when not (Hashtbl.mem local (Value.id v)) ->
-            { ab = i; ac = zero; inv = true }
-        | _ -> raise Unfusable)
+(* The levels of the perfect nest rooted at [root], outermost first, each
+   with its loop, induction variable and the ops of its body besides the
+   next loop; and the innermost body. *)
+let rec nest_levels (op : Op.t) acc =
+  if op.Op.name <> "scf.for" || List.length op.Op.operands <> 3 then
+    raise Unfusable;
+  let blk = Op.single_block (List.hd op.Op.regions) in
+  let iv = match blk.Op.args with [ iv ] -> iv | _ -> raise Unfusable in
+  let ops = List.filter (fun (o : Op.t) -> not (is_terminator o.Op.name)) blk.Op.ops in
+  match List.filter is_loop ops with
+  | [] -> (List.rev ((op, iv, []) :: acc), ops)
+  | [ inner ] -> nest_levels inner ((op, iv, List.filter (( != ) inner) ops) :: acc)
+  | _ -> raise Unfusable
+
+(* [cmpf]'s order is [Float.compare]'s, and [maximumf]/[minimumf] are
+   [Float.max]/[Float.min], NaN and signed zeros included. *)
+let c_prelude =
+  {|#include <math.h>
+static inline long nk_cmp(double x, double y) {
+  return (long)(x > y) - (long)(x < y) + (long)(x == x) - (long)(y == y);
+}
+static inline double nk_max(double x, double y) {
+  if (y > x || (!signbit(y) && signbit(x))) return isnan(x) ? x : y;
+  return isnan(y) ? y : x;
+}
+static inline double nk_min(double x, double y) {
+  if (y > x || (!signbit(y) && signbit(x))) return isnan(y) ? y : x;
+  return isnan(x) ? x : y;
+}
+|}
+
+(* A kernel statement, in the body's op order: prologue reads of frame
+   slots, then the body's definitions and stores, named by slot
+   ([x<slot>] floats, [c<slot>] conditions) and access index ([b<k>]). *)
+type cexp =
+  | Load of int
+  | Bin of int * string * int
+  | Call of string * int * int
+  | Neg of int
+  | Copy of int
+  | Sel of int * int * int
+
+type cstmt =
+  | Read_f of int
+  | Read_i of int
+  | Def of int * cexp
+  | Cmp of int * int * int * string
+  | Store of int * int
+
+(* The C function of a nest, without its name: printed only when its
+   kernel is looked up, never at [compile]. *)
+let c_function (lvl : level list) (accs : access list) pro code : string =
+  let t = Buffer.create 2048 in
+  let pr fmt = Printf.bprintf t fmt in
+  let ix k =
+    Printf.sprintf "b%d[o%d%s]" k k
+      (String.concat ""
+         (List.mapi (fun l _ -> Printf.sprintf " + j%d * s%d_%d" l k l) lvl))
   in
-  let flt v = match slot_exn f v with Kflt, i -> i | _ -> raise Unfusable in
-  let int_res (op : Op.t) =
-    match slot_exn f (Op.result_exn op) with
-    | Kint, d -> d
-    | _ -> raise Unfusable
+  pr "(double *flts, double **bufs, const long *ints)\n{\n";
+  List.iteri (fun l lv -> pr "  const long n%d = ints[%d] >> 1;\n" l lv.trip) lvl;
+  List.iteri
+    (fun k a ->
+      pr "  double *b%d = bufs[%d];\n  const long o%d = ints[%d] >> 1" k a.fb k a.off;
+      Array.iteri (fun l s -> pr ", s%d_%d = ints[%d] >> 1" k l s) a.str;
+      pr ";\n")
+    accs;
+  let stmt indent = function
+    | Read_f i -> pr "%sconst double x%d = flts[%d];\n" indent i i
+    | Read_i i -> pr "%sconst long c%d = ints[%d] >> 1;\n" indent i i
+    | Cmp (d, x, y, c) -> pr "%sconst long c%d = nk_cmp(x%d, x%d) %s 0;\n" indent d x y c
+    | Store (k, x) -> pr "%s%s = x%d;\n" indent (ix k) x
+    | Def (d, e) ->
+        pr "%sconst double x%d = " indent d;
+        (match e with
+        | Load k -> pr "%s" (ix k)
+        | Bin (x, o, y) -> pr "x%d %s x%d" x o y
+        | Call (fn, x, y) -> pr "%s(x%d, x%d)" fn x y
+        | Neg x -> pr "-x%d" x
+        | Copy x -> pr "x%d" x
+        | Sel (c, x, y) -> pr "c%d ? x%d : x%d" c x y);
+        pr ";\n"
   in
-  let bind (op : Op.t) a = Hashtbl.replace affs (Value.id (Op.result_exn op)) a in
-  let coef x y mk =
-    let c = scratch_int f in
-    emit (mk c x y);
-    c
-  in
-  let access buf coords =
-    let buf = match slot_exn f buf with Kobj, i -> i | _ -> raise Unfusable in
-    let fb = f.n_fbuf in
-    f.n_fbuf <- fb + 1;
-    { buf; dims = Array.of_list (List.map aff_of coords); fb;
-      off = scratch_int f; str = scratch_int f }
-  in
-  let item (op : Op.t) clo : item option =
-    let operand i = Op.operand_exn op i in
-    match (op.Op.name, clo) with
-    | "arith.constant", _ when kind_of_ty (Value.ty (Op.result_exn op)) = Kint
-      -> (
-        match Op.attr_exn op "value" with
-        | Typesys.Int_attr (c, _) ->
-            let d = int_res op in
-            emit (Aset (d, c));
-            bind op { ab = d; ac = zero; inv = true };
-            None
-        | _ -> raise Unfusable)
-    | "arith.addi", _ ->
-        let x = aff_of (operand 0) and y = aff_of (operand 1) and d = int_res op in
-        emit (Aadd (d, x.ab, y.ab));
-        let ac =
-          if y.inv then x.ac
-          else if x.inv then y.ac
-          else coef x.ac y.ac (fun c a b -> Aadd (c, a, b))
-        in
-        bind op { ab = d; ac; inv = x.inv && y.inv };
-        None
-    | "arith.subi", _ ->
-        let x = aff_of (operand 0) and y = aff_of (operand 1) and d = int_res op in
-        emit (Asub (d, x.ab, y.ab));
-        let ac =
-          if y.inv then x.ac else coef x.ac y.ac (fun c a b -> Asub (c, a, b))
-        in
-        bind op { ab = d; ac; inv = x.inv && y.inv };
-        None
-    | "arith.muli", _ ->
-        let x = aff_of (operand 0) and y = aff_of (operand 1) and d = int_res op in
-        let x, y =
-          if y.inv then (x, y) else if x.inv then (y, x) else raise Unfusable
-        in
-        emit (Amul (d, x.ab, y.ab));
-        let ac =
-          if x.inv then zero else coef x.ac y.ab (fun c a b -> Amul (c, a, b))
-        in
-        bind op { ab = d; ac; inv = x.inv };
-        None
-    | "arith.index_cast", _ ->
-        ignore (int_res op);
-        bind op (aff_of (operand 0));
-        None
-    | name, Some clo
-      when Dialects.Arith.is_float_binop name
-           || List.mem name
-                [ "arith.constant"; "arith.negf"; "arith.extf";
-                  "arith.truncf"; "arith.cmpf" ] ->
-        List.iter (fun v -> ignore (flt v)) op.Op.operands;
-        if op.Op.name <> "arith.cmpf" then ignore (flt (Op.result_exn op));
-        Some (Flt (op, clo))
-    | "arith.select", Some clo ->
-        (* The condition must be an int the kernel keeps in its slot: an
-           outer value or a cmpf result, not an affine body int. *)
-        let c = operand 0 in
-        if Hashtbl.mem affs (Value.id c) then raise Unfusable;
-        (match slot_exn f c with Kint, _ -> () | _ -> raise Unfusable);
-        ignore (flt (operand 1), flt (operand 2), flt (Op.result_exn op));
-        Some (Flt (op, clo))
-    | "memref.load", _ ->
-        let r = Op.result_exn op in
-        ignore (flt r);
-        Some (Load (access (operand 0) (List.tl op.Op.operands), r))
-    | "memref.store", _ ->
-        let x = operand 0 in
-        ignore (flt x);
-        let coords = List.tl (List.tl op.Op.operands) in
-        Some (Store (access (operand 1) coords, x))
-    | _ -> raise Unfusable
-  in
-  match List.filter_map (fun (op, clo) -> item op clo) ops with
-  | items ->
-      let stmt = function
-        | Flt (_, clo) -> clo
-        | Load (a, v) -> load_k a iv_slot (flt v)
-        | Store (a, v) -> store_k a iv_slot (flt v)
-      in
-      Some
-        {
-          k_entry = Array.of_list (List.rev !entry);
-          k_acc =
-            Array.of_list
-              (List.filter_map
-                 (function Load (a, _) | Store (a, _) -> Some a | Flt _ -> None)
-                 items);
-          k_body = Array.of_list (List.map stmt items);
-        }
+  List.iter (stmt "  ") pro;
+  List.iteri (fun l _ -> pr "  for (long j%d = 0; j%d < n%d; j%d++)\n" l l l l) lvl;
+  pr "  {\n";
+  List.iter (stmt "    ") code;
+  pr "  }\n}\n";
+  Buffer.contents t
+
+(* The nest rooted at loop [root], whose body is already compiled (so
+   every value has its slot); [None] when it is not a perfect nest of the
+   kernel subset. *)
+let nest_of (f : fctx) (root : Op.t) : nest option =
+  match nest_levels root [] with
   | exception Unfusable -> None
+  | levels, body -> (
+      let depth = List.length levels in
+      let zero = scratch_int f and one = scratch_int f in
+      let zeros = Array.make depth zero in
+      let entry = ref [ Aset (one, 1); Aset (zero, 0) ] in
+      let emit o = entry := o :: !entry in
+      let affs = Hashtbl.create 16 and local = Hashtbl.create 16 in
+      let ops = body @ List.concat_map (fun (_, _, pre) -> pre) levels in
+      List.iter
+        (fun (o : Op.t) ->
+          List.iter (fun r -> Hashtbl.replace local (Value.id r) ()) o.Op.results)
+        ops;
+      List.iteri
+        (fun l (_, iv, _) ->
+          Hashtbl.replace local (Value.id iv) ();
+          Hashtbl.replace affs (Value.id iv)
+            { ab = zero; ac = Array.init depth (fun k -> if k = l then one else zero) })
+        levels;
+      let aff_of v =
+        match Hashtbl.find_opt affs (Value.id v) with
+        | Some a -> a
+        | None -> (
+            (* An int from outside the nest is invariant, read at entry; a
+               body int that is not affine (a cmpf result) cannot index. *)
+            match slot_exn f v with
+            | Kint, i when not (Hashtbl.mem local (Value.id v)) -> { ab = i; ac = zeros }
+            | _ -> raise Unfusable)
+      in
+      let inv v =
+        let a = aff_of v in
+        if Array.exists (( <> ) zero) a.ac then raise Unfusable;
+        a.ab
+      in
+      let int_res (op : Op.t) =
+        match slot_exn f (Op.result_exn op) with Kint, d -> d | _ -> raise Unfusable
+      in
+      let bind (op : Op.t) a = Hashtbl.replace affs (Value.id (Op.result_exn op)) a in
+      let coef mk x y =
+        let c = scratch_int f in
+        emit (mk c x y);
+        c
+      in
+      (* Affine index arithmetic: true when [op] is such an op. *)
+      let affine (op : Op.t) =
+        let operand i = Op.operand_exn op i in
+        match op.Op.name with
+        | "arith.constant" when kind_of_ty (Value.ty (Op.result_exn op)) = Kint -> (
+            match Op.attr_exn op "value" with
+            | Typesys.Int_attr (c, _) ->
+                let d = int_res op in
+                emit (Aset (d, c));
+                bind op { ab = d; ac = zeros };
+                true
+            | _ -> raise Unfusable)
+        | "arith.addi" ->
+            let x = aff_of (operand 0) and y = aff_of (operand 1) and d = int_res op in
+            emit (Aadd (d, x.ab, y.ab));
+            bind op
+              { ab = d;
+                ac =
+                  Array.map2
+                    (fun a b ->
+                      if b = zero then a else if a = zero then b
+                      else coef (fun c a b -> Aadd (c, a, b)) a b)
+                    x.ac y.ac };
+            true
+        | "arith.subi" ->
+            let x = aff_of (operand 0) and y = aff_of (operand 1) and d = int_res op in
+            emit (Asub (d, x.ab, y.ab));
+            bind op
+              { ab = d;
+                ac =
+                  Array.map2
+                    (fun a b -> if b = zero then a else coef (fun c a b -> Asub (c, a, b)) a b)
+                    x.ac y.ac };
+            true
+        | "arith.muli" ->
+            let x = aff_of (operand 0) and y = aff_of (operand 1) and d = int_res op in
+            let is_inv a = Array.for_all (( = ) zero) a.ac in
+            let x, y =
+              if is_inv y then (x, y) else if is_inv x then (y, x) else raise Unfusable
+            in
+            emit (Amul (d, x.ab, y.ab));
+            bind op
+              { ab = d;
+                ac =
+                  Array.map
+                    (fun a -> if a = zero then zero else coef (fun c a b -> Amul (c, a, b)) a y.ab)
+                    x.ac };
+            true
+        | "arith.index_cast" ->
+            ignore (int_res op);
+            bind op (aff_of (operand 0));
+            true
+        | _ -> false
+      in
+      (* The C body, and what its prologue reads from the frame: float
+         slots (body constants included) and int condition slots. *)
+      let code = ref [] and pro = ref [] in
+      let pr c = code := c :: !code in
+      (* The float and int slots that already have a C name: a body
+         result, or a frame slot the prologue reads. *)
+      let named_f = Hashtbl.create 16 and named_i = Hashtbl.create 4 in
+      let fconsts = ref [] in
+      let flt v =
+        match slot_exn f v with
+        | Kflt, i ->
+            if not (Hashtbl.mem named_f i) then begin
+              Hashtbl.replace named_f i ();
+              pro := Read_f i :: !pro
+            end;
+            i
+        | _ -> raise Unfusable
+      in
+      let flt_res (op : Op.t) =
+        match slot_exn f (Op.result_exn op) with Kflt, d -> d | _ -> raise Unfusable
+      in
+      let result op =
+        let d = flt_res op in
+        Hashtbl.replace named_f d ();
+        d
+      in
+      let accs = ref [] in
+      let access buf coords =
+        let buf = match slot_exn f buf with Kobj, i -> i | _ -> raise Unfusable in
+        let fb = f.n_fbuf in
+        f.n_fbuf <- fb + 1;
+        let a =
+          { buf; dims = Array.of_list (List.map aff_of coords); fb;
+            off = scratch_int f; str = Array.init depth (fun _ -> scratch_int f) }
+        in
+        let k = List.length !accs in
+        accs := a :: !accs;
+        k
+      in
+      let item (op : Op.t) =
+        let operand i = Op.operand_exn op i in
+        let fop e = pr (Def (result op, e)) in
+        match op.Op.name with
+        | _ when affine op -> ()
+        | "arith.constant" -> (
+            (* Written to its slot at entry, read by the prologue. *)
+            let d = flt_res op in
+            match Op.attr_exn op "value" with
+            | Typesys.Float_attr (c, _) -> fconsts := (d, c) :: !fconsts
+            | Typesys.Int_attr (c, _) -> fconsts := (d, float_of_int c) :: !fconsts
+            | _ -> raise Unfusable)
+        | ("arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf") as name ->
+            let x = flt (operand 0) and y = flt (operand 1) in
+            let o =
+              match name with
+              | "arith.addf" -> "+" | "arith.subf" -> "-" | "arith.mulf" -> "*" | _ -> "/"
+            in
+            fop (Bin (x, o, y))
+        | ("arith.maximumf" | "arith.minimumf") as name ->
+            let x = flt (operand 0) and y = flt (operand 1) in
+            fop (Call ((if name = "arith.maximumf" then "nk_max" else "nk_min"), x, y))
+        | "arith.negf" -> fop (Neg (flt (operand 0)))
+        | "arith.extf" | "arith.truncf" -> fop (Copy (flt (operand 0)))
+        | "arith.cmpf" ->
+            let x = flt (operand 0) and y = flt (operand 1) in
+            let c =
+              match Op.string_attr_exn op "predicate" with
+              | "eq" -> "==" | "ne" -> "!=" | "lt" -> "<" | "le" -> "<="
+              | "gt" -> ">" | "ge" -> ">=" | _ -> raise Unfusable
+            in
+            let d = int_res op in
+            Hashtbl.replace named_i d ();
+            pr (Cmp (d, x, y, c))
+        | "arith.select" ->
+            (* The condition must be a cmpf result or an outer int, not an
+               affine body int. *)
+            let c = operand 0 in
+            if Hashtbl.mem affs (Value.id c) then raise Unfusable;
+            let c =
+              match slot_exn f c with
+              | Kint, i ->
+                  if not (Hashtbl.mem named_i i) then begin
+                    if Hashtbl.mem local (Value.id c) then raise Unfusable;
+                    Hashtbl.replace named_i i ();
+                    pro := Read_i i :: !pro
+                  end;
+                  i
+              | _ -> raise Unfusable
+            in
+            let x = flt (operand 1) and y = flt (operand 2) in
+            fop (Sel (c, x, y))
+        | "memref.load" ->
+            fop (Load (access (operand 0) (List.tl op.Op.operands)))
+        | "memref.store" ->
+            let x = flt (operand 0) in
+            let a = access (operand 1) (List.tl (List.tl op.Op.operands)) in
+            pr (Store (a, x))
+        | _ -> raise Unfusable
+      in
+      match
+        List.mapi
+          (fun l ((op : Op.t), _, pre) ->
+            let bound i = inv (Op.operand_exn op i) in
+            let lv = { lo = bound 0; hi = bound 1; step = bound 2; trip = scratch_int f } in
+            if l < depth - 1 then
+              List.iter (fun o -> if not (affine o) then raise Unfusable) pre
+            else List.iter item body;
+            lv)
+          levels
+      with
+      | exception Unfusable -> None
+      | lvl ->
+          let accs = List.rev !accs in
+          let pro = List.rev !pro and code = List.rev !code in
+          Some
+            {
+              n_entry = Array.of_list (List.rev !entry);
+              n_lvl = Array.of_list lvl;
+              n_acc = Array.of_list accs;
+              n_fc_slot = Array.of_list (List.rev_map fst !fconsts);
+              n_fc_val = Array.of_list (List.rev_map snd !fconsts);
+              n_text = lazy (c_function lvl accs pro code);
+              n_fn = 0n;
+            })
 
 (* ---------- the op compiler ---------- *)
 
@@ -951,6 +1186,7 @@ and compile_for (f : fctx) (op : Op.t) : frame -> unit =
   let arg_writers =
     Array.of_list (List.map (fun a -> write_slot (def f a)) iter_args)
   in
+  let nests_outside = f.nests in
   let ops = compile_ops f blk in
   let body = block_of ops in
   let n_carried = Array.length arg_writers in
@@ -970,35 +1206,24 @@ and compile_for (f : fctx) (op : Op.t) : frame -> unit =
   then
     unsupported "scf.for: %d results for %d carried values"
       (Array.length res_writers) n_carried;
-  let kernel =
-    if List.exists (fun (o, _) -> Op.exists is_loop o) (fst ops) then None
-    else begin
-      f.loops <- f.loops + 1;
-      let k = if n_carried = 0 then fuse_body f iv iv_slot (fst ops) else None in
-      if k <> None then f.kernels <- f.kernels + 1;
-      k
-    end
+  if not (List.exists (fun (o, _) -> Op.exists is_loop o) (fst ops)) then
+    f.loops <- f.loops + 1;
+  (* A nest rooted here subsumes the nests of the loops inside it, which
+     then run per op when an entry of this one fails its check. *)
+  let nest = if n_carried = 0 then nest_of f op else None in
+  Option.iter (fun n -> f.nests <- n :: nests_outside) nest;
+  let per_op fr =
+    let lo = glo fr and hi = ghi fr and step = gstep fr in
+    if step <= 0 then R.error "scf.for: step must be positive";
+    run_loop body.stmts fr iv_slot lo hi step
   in
-  match kernel with
-  | Some k ->
+  match nest with
+  | Some n ->
       fun fr ->
-        let lo = glo fr and hi = ghi fr and step = gstep fr in
-        if step <= 0 then R.error "scf.for: step must be positive";
-        (* The last iteration is [lo + n1 * step], unless [hi - lo] or
-           [hi + step] wraps: such entries run per op. *)
-        let n1 = (hi - lo - 1) / step in
-        if
-          hi > lo
-          && hi - lo > 0
-          && hi <= max_int - step
-          && bind_kernel k fr ~iv0: lo ~n1 ~step
-        then run_loop k.k_body fr iv_slot lo hi step
-        else run_loop body.stmts fr iv_slot lo hi step
-  | None when n_carried = 0 ->
-      fun fr ->
-        let lo = glo fr and hi = ghi fr and step = gstep fr in
-        if step <= 0 then R.error "scf.for: step must be positive";
-        run_loop body.stmts fr iv_slot lo hi step
+        if n.n_fn <> 0n && bind_nest n fr then
+          nk_call n.n_fn fr.flts fr.fbufs fr.ints
+        else per_op fr
+  | None when n_carried = 0 -> per_op
   | None -> fun fr ->
     let lo = glo fr and hi = ghi fr and step = gstep fr in
     if step <= 0 then R.error "scf.for: step must be positive";
@@ -1208,7 +1433,7 @@ and compile_func (cm : cmodule) (name : string) : cfunc =
           let f =
             { cm; slots = Hashtbl.create 64; n_int = 0; n_flt = 0;
               n_obj = 0; n_fbuf = 0; omp_nt = None; loops = 0;
-              kernels = 0 }
+              nests = [] }
           in
           let blk = Op.single_block (List.hd fop.Op.regions) in
           let params =
@@ -1225,7 +1450,7 @@ and compile_func (cm : cmodule) (name : string) : cfunc =
               cf_n_fbuf = f.n_fbuf;
               cf_body = body;
               cf_loops = f.loops;
-              cf_kernels = f.kernels;
+              cf_nests = f.nests;
             }
           in
           Hashtbl.replace cm.compiled name cf;
@@ -1253,19 +1478,141 @@ let compile_count () = Atomic.get compilations
 
 let no_externs : Interp.Executor.externs = fun _ _ -> None
 
-(* [(kernels, loops)]: of the module's [loops] innermost scf.for loops,
-   how many compiled to fused kernels.  A loop that misses the kernel
-   subset runs per op, several times slower: tests pin this count for
-   the benchmark programs, and the closure-compile span reports it. *)
-let kernel_coverage (cm : cmodule) : int * int =
+(* ---------- building and loading the kernels ---------- *)
+
+(* Loaded kernels by C text, for the whole process; [kernel_lock] guards
+   the table and [native_off]. *)
+let kernels : (string, nativeint) Hashtbl.t = Hashtbl.create 64
+let kernel_lock = Mutex.create ()
+
+(* Why native kernels are off in this process: after a failed build every
+   later nest runs per op, and the first cause is the one reported. *)
+let native_off : string option ref = ref None
+
+(* How many [cc] runs this process made: modules whose kernels are all
+   loaded already make none. *)
+let builds = Atomic.make 0
+let build_count () = Atomic.get builds
+
+let kernel_name text = "nk_" ^ Digest.to_hex (Digest.string text)
+
+(* Runs cc on [src] into the shared object [so].  Spawned, not forked:
+   rank domains may be running. *)
+let run_cc ~src ~so : (unit, string) result =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally: (fun () -> Unix.close null)
+    (fun () ->
+      match
+        Unix.create_process "cc"
+          [| "cc"; "-O2"; "-ffp-contract=off"; "-fPIC"; "-shared"; "-o"; so; src |]
+          null null Unix.stderr
+      with
+      | exception Unix.Unix_error (e, _, _) ->
+          Error (Printf.sprintf "cannot run cc (%s)" (Unix.error_message e))
+      | pid -> (
+          let rec wait () =
+            try snd (Unix.waitpid [] pid)
+            with Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+          in
+          match wait () with
+          | Unix.WEXITED 0 -> Ok ()
+          | Unix.WEXITED n -> Error (Printf.sprintf "cc exited with status %d" n)
+          | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+              Error (Printf.sprintf "cc stopped by signal %d" n)))
+
+(* One cc run and one dlopen for [texts], none of them loaded yet.  The
+   .c and .so files are gone once it returns: the mapping outlives them. *)
+let build (texts : string list) : unit =
+  let off cause =
+    native_off := Some cause;
+    prerr_endline ("native kernels off: " ^ cause)
+  in
+  match (Filename.temp_file "stencil_nk" ".c", Filename.temp_file "stencil_nk" ".so") with
+  | exception Sys_error msg -> off msg
+  | src, so ->
+      Fun.protect
+        ~finally: (fun () ->
+          List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ src; so ])
+        (fun () ->
+          match
+            Out_channel.with_open_text src (fun oc ->
+                output_string oc c_prelude;
+                List.iter
+                  (fun t -> Printf.fprintf oc "void %s%s" (kernel_name t) t)
+                  texts);
+            run_cc ~src ~so
+          with
+          | exception Sys_error msg -> off msg
+          | Error cause -> off cause
+          | Ok () -> (
+              Atomic.incr builds;
+              match
+                let h = nk_dlopen so in
+                List.map (fun t -> (t, nk_dlsym h (kernel_name t))) texts
+              with
+              | fns -> List.iter (fun (t, fn) -> Hashtbl.replace kernels t fn) fns
+              | exception Failure msg -> off ("cannot load the kernels: " ^ msg)))
+
+(* [(native, loops)]: of the module's [loops] innermost scf.for loops, how
+   many run in native nests. *)
+let coverage (cm : cmodule) : int * int =
   Hashtbl.fold
-    (fun _ cf (k, l) -> (k + cf.cf_kernels, l + cf.cf_loops))
+    (fun _ cf (k, l) ->
+      ( k + List.length (List.filter (fun n -> n.n_fn <> 0n) cf.cf_nests),
+        l + cf.cf_loops ))
     cm.compiled (0, 0)
+
+(* At a module's first execution: looks its nests' kernels up, building
+   the missing ones in one cc run ([load_kernels] takes several modules
+   into that one run).  Ranks racing a first run serialize on
+   [kernel_lock], so a program's kernels are built once per process.  The
+   [kernel-coverage] instant records each module's outcome. *)
+let load_kernels (cms : cmodule list) : unit =
+  if List.exists (fun cm -> not (Atomic.get cm.natives)) cms then
+    Mutex.protect kernel_lock (fun () ->
+        let cms = List.filter (fun cm -> not (Atomic.get cm.natives)) cms in
+        let nests =
+          List.concat_map
+            (fun cm -> Hashtbl.fold (fun _ cf acc -> cf.cf_nests @ acc) cm.compiled [])
+            cms
+        in
+        let missing =
+          List.sort_uniq String.compare
+            (List.filter_map
+               (fun n ->
+                 let t = Lazy.force n.n_text in
+                 if Hashtbl.mem kernels t then None else Some t)
+               nests)
+        in
+        if missing <> [] && !native_off = None then build missing;
+        List.iter
+          (fun n ->
+            Option.iter (fun fn -> n.n_fn <- fn) (Hashtbl.find_opt kernels (Lazy.force n.n_text)))
+          nests;
+        List.iter
+          (fun cm ->
+            Atomic.set cm.natives true;
+            let native, loops = coverage cm in
+            Obs.Trace.instant ~cat: "exec" "kernel-coverage"
+              ~args:
+                [ ("kernels", Obs.Int native); ("innermost_loops", Obs.Int loops);
+                  ( "native",
+                    Obs.Str
+                      (match !native_off with None -> "on" | Some c -> "off: " ^ c) ) ])
+          cms)
+
+(* [(native, loops)] once the module's kernels are loaded: a loop outside
+   the native subset runs per op, many times slower, so tests pin this
+   count for the benchmark programs. *)
+let kernel_coverage (cm : cmodule) : int * int =
+  load_kernels [ cm ];
+  coverage cm
 
 (* Ahead of time: every function with a body compiles before anything
    runs, so unsupported ops surface as [Unsupported] here, not mid-run,
-   and the returned module is immutable — ranks and cached runs share
-   it without synchronization. *)
+   and the returned module is immutable but for its kernels, loaded once
+   under [kernel_lock] — ranks and cached runs share it. *)
 let compile_module (m : Op.t) : cmodule =
   Obs.Trace.with_span ~cat: "exec" "closure-compile" (fun () ->
       Atomic.incr compilations;
@@ -1277,14 +1624,11 @@ let compile_module (m : Op.t) : cmodule =
             | Some (Typesys.String_attr name) -> Hashtbl.replace funcs name op
             | _ -> ())
         (Op.module_ops m);
-      let cm = { funcs; compiled = Hashtbl.create 16 } in
+      let cm = { funcs; compiled = Hashtbl.create 16; natives = Atomic.make false } in
       Hashtbl.iter
         (fun name (fop : Op.t) ->
           if fop.Op.regions <> [] then ignore (compile_func cm name))
         funcs;
-      let kernels, loops = kernel_coverage cm in
-      Obs.Trace.instant ~cat: "exec" "kernel-coverage"
-        ~args: [ ("kernels", Obs.Int kernels); ("innermost_loops", Obs.Int loops) ];
       cm)
 
 module Compiled : Interp.Executor.EXECUTOR = struct
@@ -1308,6 +1652,7 @@ module Compiled : Interp.Executor.EXECUTOR = struct
   let release (prog : prog) = Option.iter Domain_pool.shutdown prog.prog_pool
 
   let run (prog : prog) (callee : string) (args : R.t list) : R.t list =
+    load_kernels [ prog.cm ];
     match Hashtbl.find_opt prog.cm.compiled callee with
     | Some cf ->
         call_cfunc ~ext: prog.prog_externs ~pool: prog.prog_pool cf args

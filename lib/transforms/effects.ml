@@ -23,6 +23,11 @@ let hoistable (op : Op.t) =
   pure op
   || List.mem op.Op.name
        [ "mpi.comm_rank"; "mpi.comm_size"; "memref.alloc"; "gpu.alloc" ]
+  || op.Op.name = "func.call"
+     && (* the calls convert-mpi-to-func makes of those queries *)
+     (match Op.attr op "callee" with
+     | Some (Typesys.Symbol_attr ("MPI_Comm_rank" | "MPI_Comm_size")) -> true
+     | _ -> false)
 
 (* Ops that read memory: deletable when unused, but not CSE-able across
    writes (we simply never CSE them). *)

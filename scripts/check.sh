@@ -152,22 +152,30 @@ rm -rf "$sockdir"
 
 # Benchmark correctness: perfbench's solve and halo workloads run heat2d
 # and wave2d so=8 through a socket daemon on real rank domains, so every
-# innermost loop runs as a fused kernel, and each job's gathered result
+# loop nest runs as a native kernel, and each job's gathered result
 # is checked bitwise against the serial interpreter.  Only correctness
-# gates here (every job correct, none failed); the timings are
-# perfbench's own business.
+# gates here (every job correct, none failed, native kernels on); the
+# timings are perfbench's own business.
+nk_err="$(mktemp)"
 for workload in solve halo; do
   line="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
-    --seconds 3 --trace 0 | tail -n 1)"
+    --seconds 3 --trace 0 2> "$nk_err" | tail -n 1)"
+  if grep -q "native kernels off" "$nk_err"; then
+    echo "check.sh: perfbench $workload ran per op: $(grep -m 1 "native kernels off" "$nk_err")" >&2
+    rm -f "$nk_err"
+    exit 1
+  fi
   printf '%s\n' "$line" | python3 -c '
 import json, sys
 r = json.load(sys.stdin)
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
 ' || {
     echo "check.sh: perfbench $workload: wrong or failed jobs: $line" >&2
+    rm -f "$nk_err"
     exit 1
   }
 done
+rm -f "$nk_err"
 
 # Timeline-analytics smoke: --report must print the per-rank breakdown,
 # the comm matrix, a critical path, an overlap figure and the alpha-beta

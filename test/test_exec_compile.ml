@@ -419,19 +419,29 @@ let lprog_outcome (e : Interp.Executor.t) (p : lprog) m =
   in
   (err, List.map bits bufs)
 
+(* 400 programs in batches of 10: each batch's kernels go through one cc
+   run, as one module's nests do. *)
 let fused_loops_prop =
-  QCheck.Test.make ~count: 400
+  QCheck.Test.make ~count: 40
     ~name: "fused inner loops: compiled == interpreted, bitwise"
-    (QCheck.make gen_lprog ~print: (fun p ->
-         Printf.sprintf "alias=%b int_buf=%b nonaffine=%b\n%s" p.alias
-           p.int_buf p.nonaffine
-           (Printer.module_to_string (lprog_module p))))
-    (fun p ->
-      let m = lprog_module p in
-      let coverage = Exec_compile.kernel_coverage (Exec_compile.compile_module m) in
-      coverage = ((if p.nonaffine then 0 else 1), 1)
-      && lprog_outcome Interp.Executor.interpreter p m
-         = lprog_outcome Exec_compile.executor p m)
+    (QCheck.make (QCheck.Gen.list_repeat 10 gen_lprog) ~print: (fun ps ->
+         String.concat "\n"
+           (List.map
+              (fun p ->
+                Printf.sprintf "alias=%b int_buf=%b nonaffine=%b\n%s" p.alias
+                  p.int_buf p.nonaffine
+                  (Printer.module_to_string (lprog_module p)))
+              ps)))
+    (fun ps ->
+      let ms = List.map lprog_module ps in
+      let cms = List.map Exec_compile.compile_module ms in
+      Exec_compile.load_kernels cms;
+      List.for_all2
+        (fun (p, m) cm ->
+          Exec_compile.kernel_coverage cm = ((if p.nonaffine then 0 else 1), 1)
+          && lprog_outcome Interp.Executor.interpreter p m
+             = lprog_outcome Exec_compile.executor p m)
+        (List.combine ps ms) cms)
 
 (* A fused entry reads and writes the flat storage directly, so every
    dependence distance [d] through one buffer, up to and past the trip
@@ -836,6 +846,207 @@ let test_kernel_coverage () =
         (2, 2) );
     ]
 
+
+(* --- native kernels: edge semantics, the kernel table, no cc --- *)
+
+(* The outcome (error, every buffer bit for bit) of [m] on buffers
+   [inits], under [e]. *)
+let outcome_bits (e : Interp.Executor.t) m (inits : (int list * float array) list) =
+  let bufs =
+    List.map
+      (fun (shape, init) ->
+        let b = R.alloc_buffer shape Typesys.f64 in
+        R.fill b (fun i -> init.(i));
+        b)
+      inits
+  in
+  let err =
+    match run_on e m "main" (List.map (fun b -> R.Rbuf b) bufs) with
+    | _ -> None
+    | exception R.Runtime_error msg -> Some msg
+  in
+  (err, List.map (fun b -> Array.map Int64.bits_of_float (R.float_contents b)) bufs)
+
+let same_as_interp name m inits =
+  check bool_c (name ^ ": native == interpreted, bitwise") true
+    (outcome_bits Interp.Executor.interpreter m inits
+     = outcome_bits Exec_compile.executor m inits)
+
+(* out[i] = max/min/select over pairs of NaN, signed zeros and
+   infinities: the C transliterations of Float.max, Float.min and
+   Float.compare. *)
+let test_native_nan_zero () =
+  let vals = [| nan; -.nan; 0.; -0.; 1.; -1.; infinity; neg_infinity |] in
+  let n = Array.length vals in
+  let a = Array.init (n * n) (fun k -> vals.(k / n))
+  and b = Array.init (n * n) (fun k -> vals.(k mod n)) in
+  let mem = Typesys.Memref ([ n * n ], Typesys.f64) in
+  List.iter
+    (fun (name, mk) ->
+      let f =
+        Func.define "main" ~arg_tys: [ mem; mem; mem ] ~res_tys: [] (fun bld args ->
+            match args with
+            | [ x; y; out ] ->
+                let idx k = Arith.const_index bld k in
+                let _ =
+                  Scf.for_op bld ~lo: (idx 0) ~hi: (idx (n * n)) ~step: (idx 1)
+                    (fun body i _ ->
+                      let u = Memref.load_op body x [ i ] and v = Memref.load_op body y [ i ] in
+                      Memref.store_op body (mk body u v) out [ i ];
+                      Scf.yield_op body [])
+                in
+                Func.return_op bld []
+            | _ -> assert false)
+      in
+      let m = Op.module_op [ f ] in
+      check (Alcotest.pair int_c int_c) (name ^ ": native") (1, 1)
+        (Exec_compile.kernel_coverage (Exec_compile.compile_module m));
+      same_as_interp name m
+        [ ([ n * n ], a); ([ n * n ], b); ([ n * n ], Array.make (n * n) 5.) ])
+    ([ ("maximumf", fun bd u v -> Arith.max_f bd u v);
+       ("minimumf", fun bd u v -> Arith.min_f bd u v) ]
+    @ List.map
+        (fun p ->
+          ( "cmpf " ^ Arith.predicate_to_string p,
+            fun bd u v -> Arith.select_op bd (Arith.cmp_f bd p u v) u (Arith.neg_f bd v) ))
+        [ Arith.Eq; Arith.Ne; Arith.Lt; Arith.Le; Arith.Gt; Arith.Ge ])
+
+(* A 2-deep nest over a 6x9 buffer: row [o + 1] from row [o] shifted by
+   [d] (aliasing across outer iterations), columns [lo, hi).  Columns
+   that leave the buffer at a corner must fail exactly as per op: same
+   message, same partial writes. *)
+let test_native_nests () =
+  let rows = 6 and cols = 9 in
+  let program d lo hi : Op.t =
+    let mem = Typesys.Memref ([ rows; cols ], Typesys.f64) in
+    let f =
+      Func.define "main" ~arg_tys: [ mem ] ~res_tys: [] (fun bld args ->
+          let a = List.hd args in
+          let idx k = Arith.const_index bld k in
+          let half = Arith.const_float bld 0.5 in
+          let _ =
+            Scf.for_op bld ~lo: (idx 0) ~hi: (idx (rows - 1)) ~step: (idx 1)
+              (fun ob o _ ->
+                let o1 = Arith.add_i ob o (Arith.const_index ob 1) in
+                let _ =
+                  Scf.for_op ob ~lo: (idx lo) ~hi: (idx hi) ~step: (idx 1) (fun b i _ ->
+                      let x = Memref.load_op b a [ o; Arith.add_i b i (Arith.const_index b d) ] in
+                      let y = Memref.load_op b a [ o1; i ] in
+                      Memref.store_op b (Arith.add_f b (Arith.mul_f b x half) y) a [ o1; i ];
+                      Scf.yield_op b [])
+                in
+                Scf.yield_op ob [])
+          in
+          Func.return_op bld [])
+    in
+    Op.module_op [ f ]
+  in
+  let init = Array.init (rows * cols) (fun k -> float_of_int ((k * 5) mod 13) -. 6.) in
+  for d = -3 to 3 do
+    let m = program d 3 6 in
+    check (Alcotest.pair int_c int_c) "2-deep nest: one native kernel" (1, 1)
+      (Exec_compile.kernel_coverage (Exec_compile.compile_module m));
+    same_as_interp (Printf.sprintf "in range d=%d" d) m [ ([ rows; cols ], init) ];
+    (* Past either end of a row at the last or the first column. *)
+    same_as_interp (Printf.sprintf "out of range d=%d" d) (program d 0 cols)
+      [ ([ rows; cols ], init) ]
+  done;
+  match outcome_bits Exec_compile.executor (program 2 0 cols) [ ([ rows; cols ], init) ] with
+  | Some msg, _ -> Support.assert_contains ~what: "error" msg "out of bounds"
+  | None, _ -> Alcotest.fail "expected an out-of-bounds error"
+
+(* Space order 6: a loop shape no other test builds, so its first run
+   is the process's first cc run for it. *)
+let heat_coef ~shape ~coef =
+  let g = Devito.Symbolic.grid ~dt: 0.1 shape in
+  let u = Devito.Symbolic.function_ ~space_order: 6 "u" g in
+  snd
+    (Devito.Operator.operator ~name: "heat" ~timesteps: 3
+       (Devito.Symbolic.eq (Devito.Symbolic.Dt u) Devito.Symbolic.(f coef *: laplace u)))
+
+let nk_temp_files () =
+  List.filter
+    (fun f -> String.length f >= 10 && String.sub f 0 10 = "stencil_nk")
+    (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ())))
+
+(* Kernels live in a process-wide table keyed by their C text: a program
+   that differs only in a coefficient, compiled again after the artifact
+   cache is cleared, reuses them; two ranks racing a first run build
+   once; nothing is left in the temp dir. *)
+let test_kernel_table () =
+  let files0 = nk_temp_files () in
+  let b0 = Exec_compile.build_count () in
+  List.iter
+    (fun coef ->
+      Service.Artifact.clear ();
+      let r =
+        Driver.Harness.run_distributed ~substrate: Driver.Harness.Par
+          ~executor: Exec_compile.executor ~ranks: 2
+          (heat_coef ~shape: [ 22; 26 ] ~coef)
+      in
+      check (Alcotest.float 0.) "== serial" 0. r.Driver.Harness.max_diff_vs_serial)
+    [ 0.5; 0.25 ];
+  check int_c "two coefficients: one cc run" 1 (Exec_compile.build_count () - b0);
+  (* out[i] = -...-a[i] through 11 negations: another unique shape. *)
+  let mem = Typesys.Memref ([ 64 ], Typesys.f64) in
+  let f =
+    Func.define "main" ~arg_tys: [ mem; mem ] ~res_tys: [] (fun bld args ->
+        match args with
+        | [ a; out ] ->
+            let idx k = Arith.const_index bld k in
+            let _ =
+              Scf.for_op bld ~lo: (idx 0) ~hi: (idx 64) ~step: (idx 1) (fun b i _ ->
+                  let rec negs k x = if k = 0 then x else negs (k - 1) (Arith.neg_f b x) in
+                  Memref.store_op b (negs 11 (Memref.load_op b a [ i ])) out [ i ];
+                  Scf.yield_op b [])
+            in
+            Func.return_op bld []
+        | _ -> assert false)
+  in
+  let module C = Exec_compile.Compiled in
+  let cm = C.compile (Op.module_op [ f ]) in
+  let b1 = Exec_compile.build_count () in
+  let rank () =
+    let buf () = R.Rbuf (R.alloc_buffer [ 64 ] Typesys.f64) in
+    ignore (C.run (C.instantiate cm) "main" [ buf (); buf () ])
+  in
+  List.iter Domain.join [ Domain.spawn rank; Domain.spawn rank ];
+  check int_c "racing first runs: one cc run" 1 (Exec_compile.build_count () - b1);
+  check (Alcotest.list Alcotest.string) "no file left in the temp dir" files0
+    (nk_temp_files ())
+
+(* With no cc on PATH, stencilc says so on one stderr line, records it on
+   the kernel-coverage instant, and still matches the serial oracle. *)
+let test_no_cc () =
+  let stencilc = Support.stencilc_path () in
+  let dir = Filename.temp_dir "no_cc" "" in
+  let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
+  let trace = Filename.concat dir "trace.json" in
+  Fun.protect
+    ~finally: (fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ out; err; trace ];
+      Sys.rmdir dir)
+    (fun () ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "env PATH=%s %s --demo heat2d --run-par 2 --trace-out %s > %s 2> %s"
+             (Filename.quote dir) (Filename.quote stencilc) (Filename.quote trace)
+             (Filename.quote out) (Filename.quote err))
+      in
+      let slurp p = In_channel.with_open_text p In_channel.input_all in
+      check int_c "exits 0" 0 rc;
+      let lines =
+        List.filter
+          (fun l -> Support.contains l "native kernels off")
+          (String.split_on_char '\n' (slurp err))
+      in
+      check int_c "one stderr line" 1 (List.length lines);
+      check bool_c "it names the cause" true
+        (String.length (List.hd lines) > 20
+         && String.sub (List.hd lines) 0 20 = "native kernels off: ");
+      Support.assert_contains ~what: "stdout" (slurp out) "max abs diff vs serial: 0";
+      Support.assert_contains ~what: "trace" (slurp trace) "off: cannot run cc")
+
 let suite =
   [
     Alcotest.test_case "jacobi1d lowered: compiled == interp" `Quick
@@ -860,4 +1071,11 @@ let suite =
       test_no_allocation_per_cell;
     Alcotest.test_case "benchmark programs: every innermost loop fused"
       `Quick test_kernel_coverage;
+    Alcotest.test_case "native kernels: NaN, signed zeros, cmpf" `Quick
+      test_native_nan_zero;
+    Alcotest.test_case "native kernels: 2-deep nests, aliasing, corners"
+      `Quick test_native_nests;
+    Alcotest.test_case "native kernels: one build per loop shape" `Quick
+      test_kernel_table;
+    Alcotest.test_case "native kernels: loud without cc" `Quick test_no_cc;
   ]

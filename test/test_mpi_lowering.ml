@@ -364,8 +364,46 @@ let test_null_request_path_executes () =
   check (Alcotest.float 1e-9) "rank1 high halo untouched" 19.
     results.(1).(9)
 
+
+(* The full distributed-cpu pipeline leaves no rank query in any loop:
+   Licm hoists the MPI_Comm_rank calls Mpi_to_func makes of mpi.comm_rank
+   like the query itself. *)
+let test_rank_query_hoisted_pipeline () =
+  let target =
+    Pipeline.Distributed_cpu
+      { ranks = 2; strategy = Decomposition.Slice2d; mode = Decomposition.Faces;
+        tiles = []; overlap = true }
+  in
+  let open Devito.Symbolic in
+  let heat =
+    let u = function_ ~space_order: 2 "u" (grid ~dt: 0.1 [ 32; 32 ]) in
+    snd (Devito.Operator.operator ~name: "heat" ~timesteps: 4 (eq (Dt u) (f 0.5 *: laplace u)))
+  and wave =
+    let u = function_ ~space_order: 8 ~time_order: 2 "u" (grid ~dt: 0.02 [ 16; 64 ]) in
+    snd (Devito.Operator.operator ~name: "wave" ~timesteps: 4 (eq (Dt2 u) (f 2.25 *: laplace u)))
+  in
+  List.iter
+    (fun (name, m) ->
+      let lowered = Pipeline.compile target m in
+      let calls = ref 0 and in_loop = ref 0 in
+      let is_rank (o : Op.t) =
+        o.Op.name = "func.call"
+        && Op.attr o "callee" = Some (Typesys.Symbol_attr "MPI_Comm_rank")
+      in
+      Op.walk (fun o -> if is_rank o then incr calls) lowered;
+      Op.walk
+        (fun o ->
+          if o.Op.name = "scf.for" then
+            Op.walk_regions (fun i -> if is_rank i then incr in_loop) o)
+        lowered;
+      check bool_c (name ^ ": rank queried") true (!calls > 0);
+      check int_c (name ^ ": MPI_Comm_rank calls inside an scf.for") 0 !in_loop)
+    [ ("heat2d", heat); ("wave2d", wave) ]
+
 let suite =
   [
+    Alcotest.test_case "pipeline hoists rank queries" `Quick
+      test_rank_query_hoisted_pipeline;
     Alcotest.test_case "dmp->mpi structure" `Quick
       test_swap_lowering_structure;
     Alcotest.test_case "mpi->func structure + magic constants" `Quick

@@ -148,7 +148,8 @@ module Shared (M : Mpi_intf.MPI_CORE) = struct
                end));
         !observed = original)
 
-  let suite =
+  
+let suite =
     let tag name = Printf.sprintf "%s (%s)" name M.substrate in
     [
       Alcotest.test_case (tag "send/recv") `Quick test_send_recv;
@@ -314,7 +315,11 @@ let test_domains_reused () =
   let ids () =
     let lock = Mutex.create () and seen = ref [] in
     ignore
-      (Mpi_par.run ~ranks (fun _ ->
+      (Mpi_par.run ~ranks (fun ctx ->
+           (* Every rank holds its domain until all have started: a
+              trivial body could otherwise finish, park, and take the
+              next rank's job on the same domain. *)
+           Mpi_par.barrier ctx;
            let id = (Domain.self () :> int) in
            Mutex.protect lock (fun () -> seen := id :: !seen)));
     List.sort compare !seen
@@ -365,9 +370,48 @@ let test_harness_equivalence () =
         (Driver.Harness.max_result_diff par sim))
     [ 1; 2; 4; 8 ]
 
+(* MPI_Waitall walks its handle buffer: the request list it hands the
+   substrate is the handler's only allocation.  The bound is on the
+   cheapest of 20 calls (one whose receive had already arrived), so a
+   peer that is late does not count; the substrate's own events and wait
+   closures take most of it. *)
+module Link_par = Driver.Runtime_link.Make (Mpi_par)
+
+let test_waitall_allocation () =
+  let least = Atomic.make max_int in
+  ignore
+    (Mpi_par.run ~ranks: 2 (fun ctx ->
+         let ext = Link_par.externs_for (Link_par.create ctx) in
+         let call name args =
+           let stub = Ir.Op.make "func.call" ~attrs: [ ("callee", Ir.Typesys.Symbol_attr name) ] in
+           match ext stub args with
+           | Some [ r ] -> Interp.Rtval.as_int r
+           | _ -> Alcotest.failf "%s: no result" name
+         in
+         let peer = 1 - Mpi_par.rank ctx in
+         let data = Interp.Rtval.alloc_buffer [ 8 ] Ir.Typesys.f64 in
+         let recv = Interp.Rtval.alloc_buffer [ 8 ] Ir.Typesys.f64 in
+         let handles = Interp.Rtval.alloc_buffer [ 2 ] Ir.Typesys.i32 in
+         let hs = match handles.Interp.Rtval.data with Interp.Rtval.I a -> a | _ -> assert false in
+         let dt = Core.Mpi.Mpich.double and comm = Core.Mpi.Mpich.comm_world in
+         for step = 1 to 20 do
+           let args b = Interp.Rtval.[ Rbuf b; Ri 8; Ri dt; Ri peer; Ri step; Ri comm ] in
+           hs.(0) <- call "MPI_Irecv" (args recv);
+           hs.(1) <- call "MPI_Isend" (args data);
+           let w0 = Gc.minor_words () in
+           ignore (call "MPI_Waitall" Interp.Rtval.[ Ri 2; Rbuf handles ]);
+           let w = int_of_float (Gc.minor_words () -. w0) in
+           if w < Atomic.get least then Atomic.set least w
+         done));
+  (* 102 words at this change, 124 with the handle and request lists. *)
+  if Atomic.get least > 110 then
+    Alcotest.failf "MPI_Waitall: %d minor words for 2 requests" (Atomic.get least)
+
 let suite =
   Shared_sim.suite @ Shared_par.suite
   @ [
+    Alcotest.test_case "MPI_Waitall allocation per call" `Quick
+      test_waitall_allocation;
       Alcotest.test_case "fifo order (par)" `Quick test_fifo_order;
       Alcotest.test_case "backpressure capacity 1" `Quick test_backpressure;
       Alcotest.test_case "stall watchdog: mismatched tags" `Quick
