@@ -39,14 +39,14 @@ type mailbox = {
 type slot = {
   sl_mutex : Mutex.t;
   sl_cond : Condition.t;
-  mutable sl_pending : (unit -> string) option;
+  mutable sl_pending : blocked;
       (* the transport operation this rank is (or may be) blocked in,
          described only when a stall report asks *)
   mutable sl_done : bool;
   sl_stats : stats;
 }
 
-type comm = {
+and comm = {
   world : int;
   capacity : int;
   reg_mutex : Mutex.t;
@@ -68,9 +68,9 @@ type comm = {
    every transport entry point asserts ownership.  A compute worker
    (e.g. an omp pool domain) calling send/recv fails loudly with
    [Mpi_error] instead of racing the substrate. *)
-type rank_ctx = { comm : comm; me : int; owner : int }
+and rank_ctx = { comm : comm; me : int; owner : int }
 
-type request =
+and request =
   | Null_req of rank_ctx
   | Send_req of rank_ctx (* eager protocol: complete at creation *)
   | Recv_req of {
@@ -79,6 +79,14 @@ type request =
       tag : int;
       mutable data : payload option;
     }
+
+(* Plain data, so entering a wait allocates no description: the text is
+   built only by a stall report. *)
+and blocked =
+  | Running
+  | Sending of { dest : int; tag : int }  (* isend under backpressure *)
+  | Waiting of request
+  | Waiting_all of request list
 
 let rank ctx = ctx.me
 let size ctx = ctx.comm.world
@@ -121,10 +129,10 @@ let mailbox_for comm key =
   Mutex.unlock comm.reg_mutex;
   mb
 
-let set_pending ctx desc =
+let set_pending ctx blocked =
   let sl = slot_of ctx in
   Mutex.lock sl.sl_mutex;
-  sl.sl_pending <- desc;
+  sl.sl_pending <- blocked;
   Mutex.unlock sl.sl_mutex
 
 let wake_rank comm r =
@@ -181,10 +189,7 @@ let isend ctx ~dest ~tag ?bytes p =
   let data = copy_payload p in
   let nbytes = match bytes with Some b -> b | None -> payload_bytes data in
   let mb = mailbox_for comm (dest, ctx.me, tag) in
-  set_pending ctx
-    (Some
-       (fun () ->
-         Format.asprintf "isend -> %d %a (backpressure)" dest pp_tag tag));
+  set_pending ctx (Sending { dest; tag });
   Mutex.lock mb.mb_mutex;
   while
     Queue.length mb.mb_q >= comm.capacity && not (Atomic.get comm.poisoned)
@@ -193,18 +198,18 @@ let isend ctx ~dest ~tag ?bytes p =
   done;
   if Atomic.get comm.poisoned then begin
     Mutex.unlock mb.mb_mutex;
-    set_pending ctx None;
+    set_pending ctx Running;
     raise Poisoned
   end;
   Queue.push (data, nbytes) mb.mb_q;
   Condition.signal mb.mb_nonempty;
   Mutex.unlock mb.mb_mutex;
-  set_pending ctx None;
+  set_pending ctx Running;
   let st = (slot_of ctx).sl_stats in
   st.messages <- st.messages + 1;
   st.bytes <- st.bytes + nbytes;
   Atomic.incr comm.progress;
-  record ctx (Isend { dest; tag; bytes = nbytes });
+  if comm.trace_on then record ctx (Isend { dest; tag; bytes = nbytes });
   wake_rank comm dest;
   Send_req ctx
 
@@ -245,7 +250,7 @@ let irecv ctx ~source ~tag =
   check_owner ctx "irecv";
   if source <> any_source then check_peer comm "irecv" source;
   check_poison comm;
-  record ctx (Irecv { source; tag });
+  if comm.trace_on then record ctx (Irecv { source; tag });
   Recv_req { ctx; source; tag; data = None }
 
 let try_complete = function
@@ -258,7 +263,8 @@ let try_complete = function
           | Some (src, (p, bytes)) ->
               r.data <- Some p;
               Atomic.incr r.ctx.comm.progress;
-              record r.ctx (Recv_complete { source = src; tag = r.tag; bytes });
+              if r.ctx.comm.trace_on then
+                record r.ctx (Recv_complete { source = src; tag = r.tag; bytes });
               true
           | None -> false))
 
@@ -274,25 +280,48 @@ let describe_request = function
   | Recv_req r ->
       Format.asprintf "recv <- %a %a" pp_source r.source pp_tag r.tag
 
-(* Block this rank until [pred] holds.  The slot mutex is held from the
-   poison/pred check through Condition.wait, so a sender's wakeup is
-   either observed by the check or delivered to the wait. *)
-let slot_wait ctx ~info pred =
+let describe_blocked = function
+  | Running -> "(unknown)"
+  | Sending { dest; tag } ->
+      Format.asprintf "isend -> %d %a (backpressure)" dest pp_tag tag
+  | Waiting req -> "wait(" ^ describe_request req ^ ")"
+  | Waiting_all reqs ->
+      let pending =
+        List.filter_map
+          (fun r ->
+            match r with
+            | Recv_req rr when rr.data = None -> Some (describe_request r)
+            | _ -> None)
+          reqs
+      in
+      Printf.sprintf "waitall(%d pending: %s)" (List.length pending)
+        (String.concat ", " pending)
+
+let completed = function
+  | Waiting req -> try_complete req
+  | Waiting_all reqs -> List.for_all try_complete reqs
+  | Running | Sending _ -> true
+
+(* Block this rank until [completed blocked] holds.  The slot mutex is
+   held from the poison/completion check through Condition.wait, so a
+   sender's wakeup is either observed by the check or delivered to the
+   wait. *)
+let slot_wait ctx blocked =
   let comm = ctx.comm in
   let sl = slot_of ctx in
   Mutex.lock sl.sl_mutex;
   let rec loop () =
     if Atomic.get comm.poisoned then begin
-      sl.sl_pending <- None;
+      sl.sl_pending <- Running;
       Mutex.unlock sl.sl_mutex;
       raise Poisoned
     end
-    else if pred () then begin
-      sl.sl_pending <- None;
+    else if completed blocked then begin
+      sl.sl_pending <- Running;
       Mutex.unlock sl.sl_mutex
     end
     else begin
-      sl.sl_pending <- Some info;
+      sl.sl_pending <- blocked;
       Condition.wait sl.sl_cond sl.sl_mutex;
       loop ()
     end
@@ -312,9 +341,7 @@ let wait req =
       let ctx = r.ctx in
       check_owner ctx "wait";
       if ctx.comm.trace_on then record ctx (Wait_begin (describe_request req));
-      slot_wait ctx
-        ~info:(fun () -> "wait(" ^ describe_request req ^ ")")
-        (fun () -> try_complete req);
+      slot_wait ctx (Waiting req);
       record ctx Wait_end;
       r.data
 
@@ -328,20 +355,8 @@ let waitall reqs =
   | first :: _ ->
       let ctx = ctx_of_request first in
       check_owner ctx "waitall";
-      record ctx (Waitall_begin (List.length reqs));
-      slot_wait ctx
-        ~info:(fun () ->
-          let pending =
-            List.filter_map
-              (fun r ->
-                match r with
-                | Recv_req rr when rr.data = None -> Some (describe_request r)
-                | _ -> None)
-              reqs
-          in
-          Printf.sprintf "waitall(%d pending: %s)" (List.length pending)
-            (String.concat ", " pending))
-        (fun () -> List.for_all try_complete reqs);
+      if ctx.comm.trace_on then record ctx (Waitall_begin (List.length reqs));
+      slot_wait ctx (Waiting_all reqs);
       record ctx Waitall_end
 
 let send ctx ~dest ~tag ?bytes p = ignore (isend ctx ~dest ~tag ?bytes p)
@@ -391,7 +406,7 @@ let make_comm ~trace ~ranks ~capacity =
           {
             sl_mutex = Mutex.create ();
             sl_cond = Condition.create ();
-            sl_pending = None;
+            sl_pending = Running;
             sl_done = false;
             sl_stats = { messages = 0; bytes = 0; collectives = 0 };
           });
@@ -441,7 +456,7 @@ let stall_report ~timeout comm =
       if not finished then begin
         Buffer.add_string b
           (Printf.sprintf "\n  rank %d blocked in %s" r
-             (match pending with Some info -> info () | None -> "(unknown)"));
+             (describe_blocked pending));
         List.iter
           (fun ev ->
             Buffer.add_string b
@@ -535,7 +550,7 @@ let run_with ?stall_timeout_s ?queue_capacity ?(trace = false) ~ranks body =
     let sl = comm.slots.(r) in
     Mutex.lock sl.sl_mutex;
     sl.sl_done <- true;
-    sl.sl_pending <- None;
+    sl.sl_pending <- Running;
     Mutex.unlock sl.sl_mutex
   in
   let finish () =
@@ -558,7 +573,7 @@ let run_with ?stall_timeout_s ?queue_capacity ?(trace = false) ~ranks body =
     Array.for_all
       (fun sl ->
         Mutex.lock sl.sl_mutex;
-        let b = sl.sl_done || sl.sl_pending <> None in
+        let b = sl.sl_done || sl.sl_pending != Running in
         Mutex.unlock sl.sl_mutex;
         b)
       comm.slots
@@ -582,10 +597,19 @@ let run_with ?stall_timeout_s ?queue_capacity ?(trace = false) ~ranks body =
       broadcast_all comm
     end
   done;
-  (* A poisoned run's ranks are unwinding; wait until every one is out. *)
-  while Atomic.get comm.finished < ranks do
-    sleep ()
-  done;
+  (* Every rank is out (a poisoned run's ranks unwind first) once the
+     last one's byte arrives, and only then may the pipe close: [finished]
+     reaches [ranks] just before that write, and a descriptor closed under
+     the writer fails it (killing a parked pool domain, whose next job
+     then never starts) or, once reused, puts the byte into another file
+     such as a client socket. *)
+  let byte = Bytes.create 1 in
+  let rec await_last () =
+    match Unix.read done_r byte 0 1 with
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> await_last ()
+  in
+  await_last ();
   Unix.close done_r;
   Unix.close done_w;
   Array.iter (function Some e -> raise e | None -> ()) failures;

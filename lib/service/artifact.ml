@@ -32,8 +32,10 @@ let digest_of ?(executor = Interp.Executor.interpreter)
     ~executor_name: executor.Interp.Executor.exec_name
     (Ir.Printer.canonical_module_string m)
 
-let compile ?(executor = Interp.Executor.interpreter)
-    ~(target : Core.Pipeline.target) (m : Ir.Op.t) : t =
+(* Compile unconditionally: no cache, no store.  [digest] is
+   [digest_of ~executor ~target m], computed by the caller. *)
+let compile ~digest ~executor ~(target : Core.Pipeline.target)
+    (m : Ir.Op.t) : t =
   let t0 = Unix.gettimeofday () in
   let lowered =
     Obs.Trace.with_span ~cat: "service"
@@ -42,7 +44,7 @@ let compile ?(executor = Interp.Executor.interpreter)
   in
   let program = executor.Interp.Executor.compile lowered in
   {
-    digest = digest_of ~executor ~target m;
+    digest;
     target;
     executor_name = executor.Interp.Executor.exec_name;
     lowered;
@@ -55,7 +57,18 @@ let compile ?(executor = Interp.Executor.interpreter)
    or test working set; [set_policy] resizes it. *)
 let cache : t Cache.t = Cache.create ~capacity: 128 "artifact-cache"
 
-let set_policy ~capacity = Cache.set_policy ~capacity cache
+(* The payload memo: request text -> (digest, parsed module), so a
+   repeated text skips the parse, the canonical print and the hash.  The
+   key is the text's exact bytes behind the target fingerprint and the
+   executor name (neither contains a newline), so two keys are equal
+   only when the digest recipe's inputs are.  Sharing one parsed module
+   between connection domains is safe: [Ir.Op.t] values are immutable.
+   It follows the artifact cache's capacity and is emptied with it. *)
+let memo : (string * Ir.Op.t) Cache.t = Cache.create ~capacity: 128 "payload-memo"
+
+let set_policy ~capacity =
+  Cache.set_policy ~capacity cache;
+  Cache.set_policy ~capacity memo
 
 (* ---------- the on-disk store (optional) ---------- *)
 
@@ -129,8 +142,7 @@ let restore_persisted ~(target : Core.Pipeline.target)
 
 (* ---------- cached acquisition ---------- *)
 
-let get_cached ?(executor = Interp.Executor.interpreter) ~target m =
-  let digest = digest_of ~executor ~target m in
+let get_cached_as ~digest ~executor ~target m =
   let restored = ref false in
   let compute () =
     let from_store =
@@ -147,7 +159,7 @@ let get_cached ?(executor = Interp.Executor.interpreter) ~target m =
         restored := true;
         art
     | None ->
-        let art = compile ~executor ~target m in
+        let art = compile ~digest ~executor ~target m in
         persist ~source: m art;
         art
   in
@@ -159,7 +171,27 @@ let get_cached ?(executor = Interp.Executor.interpreter) ~target m =
   in
   ((if flag = `Hit then { art with compile_s = 0. } else art), flag)
 
+let get_cached ?(executor = Interp.Executor.interpreter) ~target m =
+  get_cached_as ~digest: (digest_of ~executor ~target m) ~executor ~target m
+
 let get ?executor ~target m = fst (get_cached ?executor ~target m)
+
+let get_cached_text ?(executor = Interp.Executor.interpreter) ~target text =
+  let parse () =
+    let m =
+      try Ir.Parser.parse_string text
+      with e -> failwith ("parse error: " ^ Printexc.to_string e)
+    in
+    (digest_of ~executor ~target m, m)
+  in
+  let key =
+    String.concat "\n"
+      [ Core.Pipeline.target_fingerprint target;
+        executor.Interp.Executor.exec_name; text ]
+  in
+  let (digest, m), _ = Cache.find_or_compute memo ~key parse in
+  let art, flag = get_cached_as ~digest ~executor ~target m in
+  (m, art, flag)
 
 (* Warm-start: preload every valid persisted artifact into the cache so a
    restarted daemon answers previously-seen digests without touching the
@@ -199,5 +231,9 @@ let warm_start ?limit () : int =
         0 digests
 
 let stats () = Cache.stats cache
-let clear () = Cache.clear cache
+let memo_stats () = Cache.stats memo
+
+let clear () =
+  Cache.clear cache;
+  Cache.clear memo
 let cache_length () = Cache.length cache

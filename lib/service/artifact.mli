@@ -38,17 +38,13 @@ val digest_of_parts :
     name, canonical module text) — used to re-verify persisted artifacts
     without parsing them. *)
 
-val compile :
-  ?executor:Interp.Executor.t -> target:Core.Pipeline.target -> Ir.Op.t -> t
-(** Compile unconditionally (no cache, no store): run the target's pass
-    pipeline, verify, and compile the result with [executor] (default:
-    the reference interpreter, whose compile step is the identity). *)
-
 val get :
   ?executor:Interp.Executor.t -> target:Core.Pipeline.target -> Ir.Op.t -> t
-(** {!compile} through the process-wide cache: the first request for a
-    digest compiles, every later (or concurrent) request reuses the same
-    artifact. *)
+(** The module compiled through the process-wide cache: the first request
+    for a digest runs the target's pass pipeline, verifies, and compiles
+    the result with [executor] (default: the reference interpreter, whose
+    compile step is the identity); every later (or concurrent) request
+    reuses the same artifact. *)
 
 val get_cached :
   ?executor:Interp.Executor.t ->
@@ -58,6 +54,20 @@ val get_cached :
 (** {!get}, also reporting how the artifact was obtained: [`Hit] from the
     in-memory cache, [`Store] restored from the on-disk store (pipeline
     skipped), [`Miss] compiled cold on the calling domain. *)
+
+val get_cached_text :
+  ?executor:Interp.Executor.t ->
+  target:Core.Pipeline.target ->
+  string ->
+  Ir.Op.t * t * [ `Hit | `Miss | `Store ]
+(** {!get_cached} for a module given as IR text, also returning the parsed
+    module.  The text's exact bytes, with the target fingerprint and the
+    executor name, key a payload memo of (digest, parsed module), so a
+    repeated text is neither parsed, printed canonically nor hashed
+    again; the module is shared by every requester of that text.  A
+    malformed text raises [Failure "parse error: ..."], and so does every
+    repeat of it.  {!set_policy} bounds the memo and {!clear} empties it,
+    with the artifact cache. *)
 
 val set_store : Store.t option -> unit
 (** Install (or remove) the process-wide on-disk artifact store. *)
@@ -70,13 +80,18 @@ val warm_start : ?limit:int -> unit -> int
     Entries with unknown targets or executors are skipped. *)
 
 val set_policy : capacity:int -> unit
-(** Resize the process-wide cache (see {!Cache.set_policy}). *)
+(** Resize the process-wide cache and the payload memo (see
+    {!Cache.set_policy}). *)
 
 val stats : unit -> Cache.stats
 (** Hit/miss/compile-time counters of the process-wide cache. *)
 
+val memo_stats : unit -> Cache.stats
+(** The payload memo's counters: a miss is one parse of a request text,
+    a failure one malformed text. *)
+
 val clear : unit -> unit
-(** Drop the process-wide cache (tests, benchmarks, simulated restarts).
-    The on-disk store, if any, is left intact. *)
+(** Drop the process-wide cache and the payload memo (tests, benchmarks,
+    simulated restarts).  The on-disk store, if any, is left intact. *)
 
 val cache_length : unit -> int

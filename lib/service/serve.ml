@@ -120,28 +120,20 @@ let read_ir_payload ic params : string option =
       | _ -> failwith (Printf.sprintf "ir=%S is not a byte count" nbytes))
 
 (* The module spec: demo=<name> | file=<path> | ir=<nbytes> (payload
-   already drained from the request channel by [read_ir_payload]). *)
-let module_of_params handlers ~payload params : Ir.Op.t =
+   already drained from the request channel by [read_ir_payload]).  Text
+   goes through the artifact layer's payload memo, keyed on its bytes. *)
+let module_of_params handlers ~payload params =
   match (lookup params "demo", lookup params "file", lookup params "ir") with
   | Some name, None, None -> (
       match handlers.resolve_demo name with
-      | Some m -> m
+      | Some m -> `Module m
       | None -> failwith (Printf.sprintf "unknown demo %S" name))
-  | None, Some path, None -> (
-      let text = In_channel.with_open_text path In_channel.input_all in
-      try Ir.Parser.parse_string text
-      with e ->
-        failwith
-          (Printf.sprintf "parse error in %S: %s" path (Printexc.to_string e)))
+  | None, Some path, None ->
+      `Text (In_channel.with_open_text path In_channel.input_all, Some path)
   | None, None, Some _ -> (
-      let buf =
-        match payload with
-        | Some buf -> buf
-        | None -> failwith "internal error: ir payload was not drained"
-      in
-      try Ir.Parser.parse_string buf
-      with e ->
-        failwith (Printf.sprintf "parse error: %s" (Printexc.to_string e)))
+      match payload with
+      | Some buf -> `Text (buf, None)
+      | None -> failwith "internal error: ir payload was not drained")
   | None, None, None ->
       failwith "missing module spec (demo=<name> | file=<path> | ir=<nbytes>)"
   | _ -> failwith "ambiguous module spec (give exactly one of demo/file/ir)"
@@ -149,14 +141,20 @@ let module_of_params handlers ~payload params : Ir.Op.t =
 (* ---------- request handling ---------- *)
 
 let compile_artifact handlers ~payload params =
-  let m = module_of_params handlers ~payload params in
+  let source = module_of_params handlers ~payload params in
   let target = target_of_params params in
   let executor =
     Interp.Executor.of_name
       (Option.value (lookup params "exec") ~default: "compiled")
   in
-  let art, flag = Artifact.get_cached ~executor ~target m in
-  (m, art, flag)
+  match source with
+  | `Module m ->
+      let art, flag = Artifact.get_cached ~executor ~target m in
+      (m, art, flag)
+  | `Text (text, None) -> Artifact.get_cached_text ~executor ~target text
+  | `Text (text, Some path) -> (
+      try Artifact.get_cached_text ~executor ~target text
+      with Failure msg -> failwith (Printf.sprintf "%s: %s" path msg))
 
 let artifact_kvs (art : Artifact.t) flag =
   [

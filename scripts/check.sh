@@ -2,9 +2,9 @@
 # Repo check: formatting, full build, full test suite (which also pins the
 # reference-model scaling curves of BENCH_scaling.json exactly), smoke runs
 # of the parallel (OCaml-domains) execution path through the CLI, a
-# correctness-only pass of perfbench's solve and halo workloads, the scale
-# bench smoke (which exits non-zero on a validation row out of bound or a
-# tuner loss), and the fig8/fig11 scaling figures.
+# correctness-only pass of perfbench's solve, halo and serve_hit
+# workloads, the scale bench smoke (which exits non-zero on a validation
+# row out of bound or a tuner loss), and the fig8/fig11 scaling figures.
 # Run from anywhere; operates on the repo root.
 #
 # Usage: check.sh [--smoke]
@@ -59,6 +59,30 @@ esac
 case "$serve_out" in
   *"max_diff=0"*) ;;
   *) echo "check.sh: --serve run diverged from serial" >&2; exit 1 ;;
+esac
+# Payload memo smoke: one ir= payload sent twice must give the same
+# digest both times, a cold compile then a cache hit (the repeat is served
+# from the memo of request text, without a parse).
+ir_file="$(mktemp)"
+dune exec bin/stencilc.exe -- --demo heat2d > "$ir_file"
+ir_bytes="$(wc -c < "$ir_file" | tr -d ' ')"
+ir_out="$( { for _ in 1 2; do
+    printf 'compile ir=%s ranks=2\n' "$ir_bytes"; cat "$ir_file"; done
+  printf 'quit\n'; } | dune exec bin/stencilc.exe -- --serve)"
+rm -f "$ir_file"
+ir_digest() {
+  printf '%s\n' "$ir_out" | sed -n "${1}p" | tr ' ' '\n' | sed -n 's/^digest=//p'
+}
+d1="$(ir_digest 1)"
+d2="$(ir_digest 2)"
+if [ -z "$d1" ] || [ "$d1" != "$d2" ]; then
+  echo "check.sh: --serve gave two digests for one ir= payload: $ir_out" >&2
+  exit 1
+fi
+case "$(printf '%s\n' "$ir_out" | sed -n 2p)" in
+  *"cached=hit"*) ;;
+  *) echo "check.sh: --serve repeated ir= payload was not a cache hit: $ir_out" >&2
+     exit 1 ;;
 esac
 # Framing regression: a malformed request that declares an ir= payload
 # must drain exactly those bytes — the following ping must still answer
@@ -153,11 +177,13 @@ rm -rf "$sockdir"
 # Benchmark correctness: perfbench's solve and halo workloads run heat2d
 # and wave2d so=8 through a socket daemon on real rank domains, so every
 # loop nest runs as a native kernel, and each job's gathered result
-# is checked bitwise against the serial interpreter.  Only correctness
-# gates here (every job correct, none failed, native kernels on); the
-# timings are perfbench's own business.
+# is checked bitwise against the serial interpreter.  serve_hit repeats
+# two cached compiles, answered from the payload memo, and checks each
+# answer's digest and hit verdict.  Only correctness gates here (every
+# job correct, none failed, native kernels on); the timings are
+# perfbench's own business.
 nk_err="$(mktemp)"
-for workload in solve halo; do
+for workload in solve halo serve_hit; do
   line="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
     --seconds 3 --trace 0 2> "$nk_err" | tail -n 1)"
   if grep -q "native kernels off" "$nk_err"; then

@@ -259,98 +259,9 @@ let test_artifact_counters () =
 
 (* --- the --serve protocol --- *)
 
-let test_serve_protocol () =
-  Service.Artifact.clear ();
-  let m = heat_module () in
-  let handlers =
-    {
-      Service.Serve.resolve_demo =
-        (fun name -> if name = "heat-demo" then Some (heat_module ()) else None);
-      run = None;
-    }
-  in
-  let req_r, req_w = Unix.pipe () in
-  let resp_r, resp_w = Unix.pipe () in
-  let server =
-    Domain.spawn (fun () ->
-        let ic = Unix.in_channel_of_descr req_r in
-        let oc = Unix.out_channel_of_descr resp_w in
-        Service.Serve.serve ~handlers ic oc;
-        close_in_noerr ic;
-        close_out_noerr oc)
-  in
-  let oc = Unix.out_channel_of_descr req_w in
-  let ic = Unix.in_channel_of_descr resp_r in
-  let ask line =
-    output_string oc (line ^ "\n");
-    flush oc;
-    match In_channel.input_line ic with
-    | Some resp -> resp
-    | None -> Alcotest.fail "server closed the pipe"
-  in
-  (* key=value field of a response line. *)
-  let field resp key =
-    List.find_map
-      (fun w ->
-        let prefix = key ^ "=" in
-        let np = String.length prefix in
-        if String.length w > np && String.sub w 0 np = prefix then
-          Some (String.sub w np (String.length w - np))
-        else None)
-      (String.split_on_char ' ' resp)
-  in
-  check bool_c "ping" true (ask "ping" = "ok pong");
-  let c1 = ask "compile demo=heat-demo ranks=2" in
-  check bool_c "first compile misses" true (contains c1 "cached=miss");
-  let c2 = ask "compile demo=heat-demo ranks=2" in
-  check bool_c "repeat compile hits" true (contains c2 "cached=hit");
-  check bool_c "same digest both times" true
-    (field c1 "digest" = field c2 "digest" && field c1 "digest" <> None);
-  (* Inline IR payload: digest must equal the demo's (same canonical
-     form, reparsed). *)
-  let ir_text = Printer.module_to_string m in
-  let ir_req =
-    Printf.sprintf "compile ir=%d ranks=2\n%s" (String.length ir_text) ir_text
-  in
-  output_string oc ir_req;
-  flush oc;
-  let c3 =
-    match In_channel.input_line ic with
-    | Some r -> r
-    | None -> Alcotest.fail "server closed the pipe"
-  in
-  check bool_c "inline IR hits the demo's cache entry" true
-    (contains c3 "cached=hit");
-  check bool_c "inline IR digest equals the demo's" true
-    (field c3 "digest" = field c1 "digest");
-  let stats = ask "stats" in
-  check bool_c "stats reports hits" true (contains stats "hits=");
-  check bool_c "unknown demo is an error" true
-    (contains (ask "compile demo=nope ranks=2") "error");
-  check bool_c "run without handler is an error" true
-    (contains (ask "run demo=heat-demo ranks=2") "error");
-  check bool_c "unknown command is an error" true
-    (contains (ask "frobnicate") "error");
-  check bool_c "quit" true (ask "quit" = "ok bye");
-  Domain.join server;
-  List.iter Unix.close [ req_w; resp_r ]
-
-(* --- framing: malformed requests must not desync the stream --- *)
-
-(* A validation failure in a request that declares an ir=<nbytes> payload
-   must still drain those bytes: otherwise the loop parses the payload as
-   the next request and every later exchange is desynchronized.  The
-   regression: send malformed ir= requests, then a ping — the ping must
-   still answer pong. *)
-let test_serve_desync_regression () =
-  Service.Artifact.clear ();
-  let handlers =
-    {
-      Service.Serve.resolve_demo =
-        (fun name -> if name = "heat-demo" then Some (heat_module ()) else None);
-      run = None;
-    }
-  in
+(* [Serve.serve] on its own domain behind two pipes.  [f send recv]
+   talks to it; then the connection is quit and the server joined. *)
+let with_pipe_server handlers f =
   let req_r, req_w = Unix.pipe () in
   let resp_r, resp_w = Unix.pipe () in
   let server =
@@ -372,57 +283,111 @@ let test_serve_desync_regression () =
     | Some resp -> resp
     | None -> Alcotest.fail "server closed the pipe"
   in
-  (* 1. Ambiguous spec (demo AND ir): fails validation, but the declared
-     payload bytes must be consumed. *)
-  send "compile ir=5 demo=heat-demo ranks=2\nhello";
-  check bool_c "ambiguous spec is an error" true (contains (recv ()) "error");
-  send "ping\n";
-  check bool_c "stream still in sync after ambiguous spec" true
-    (recv () = "ok pong");
-  (* 2. Valid payload, bad target knob: the failure happens after the
-     payload, which must also leave the stream clean. *)
-  let ir_text = Printer.module_to_string (heat_module ()) in
-  send
-    (Printf.sprintf "compile ir=%d strategy=bogus\n%s" (String.length ir_text)
-       ir_text);
-  check bool_c "bad strategy is an error" true
-    (contains (recv ()) "unknown strategy");
-  send "ping\n";
-  check bool_c "stream still in sync after bad strategy" true
-    (recv () = "ok pong");
-  (* 3. Unknown command carrying a payload: drained all the same. *)
-  send "frobnicate ir=3 x=1\nabc";
-  check bool_c "unknown command is an error" true (contains (recv ()) "error");
-  send "ping\n";
-  check bool_c "stream still in sync after unknown command" true
-    (recv () = "ok pong");
+  f send recv;
   send "quit\n";
   check bool_c "quit" true (recv () = "ok bye");
   Domain.join server;
   List.iter Unix.close [ req_w; resp_r ]
 
+let heat_demo_handlers =
+  {
+    Service.Serve.resolve_demo =
+      (fun name -> if name = "heat-demo" then Some (heat_module ()) else None);
+    run = None;
+  }
+
+(* key=value field of a response line. *)
+let field resp key =
+  List.find_map
+    (fun w ->
+      let prefix = key ^ "=" in
+      let np = String.length prefix in
+      if String.length w > np && String.sub w 0 np = prefix then
+        Some (String.sub w np (String.length w - np))
+      else None)
+    (String.split_on_char ' ' resp)
+
+let ir_request cmd ?(params = "ranks=2") text =
+  Printf.sprintf "%s ir=%d %s\n%s" cmd (String.length text) params text
+
+let test_serve_protocol () =
+  Service.Artifact.clear ();
+  let m = heat_module () in
+  with_pipe_server heat_demo_handlers (fun send recv ->
+      let ask line =
+        send (line ^ "\n");
+        recv ()
+      in
+      check bool_c "ping" true (ask "ping" = "ok pong");
+      let c1 = ask "compile demo=heat-demo ranks=2" in
+      check bool_c "first compile misses" true (contains c1 "cached=miss");
+      let c2 = ask "compile demo=heat-demo ranks=2" in
+      check bool_c "repeat compile hits" true (contains c2 "cached=hit");
+      check bool_c "same digest both times" true
+        (field c1 "digest" = field c2 "digest" && field c1 "digest" <> None);
+      (* Inline IR payload: digest must equal the demo's (same canonical
+         form, reparsed). *)
+      send (ir_request "compile" (Printer.module_to_string m));
+      let c3 = recv () in
+      check bool_c "inline IR hits the demo's cache entry" true
+        (contains c3 "cached=hit");
+      check bool_c "inline IR digest equals the demo's" true
+        (field c3 "digest" = field c1 "digest");
+      let stats = ask "stats" in
+      check bool_c "stats reports hits" true (contains stats "hits=");
+      check bool_c "unknown demo is an error" true
+        (contains (ask "compile demo=nope ranks=2") "error");
+      check bool_c "run without handler is an error" true
+        (contains (ask "run demo=heat-demo ranks=2") "error");
+      check bool_c "unknown command is an error" true
+        (contains (ask "frobnicate") "error"))
+
+(* --- framing: malformed requests must not desync the stream --- *)
+
+(* A validation failure in a request that declares an ir=<nbytes> payload
+   must still drain those bytes: otherwise the loop parses the payload as
+   the next request and every later exchange is desynchronized.  The
+   regression: send malformed ir= requests, then a ping — the ping must
+   still answer pong. *)
+let test_serve_desync_regression () =
+  Service.Artifact.clear ();
+  with_pipe_server heat_demo_handlers (fun send recv ->
+      (* 1. Ambiguous spec (demo AND ir): fails validation, but the
+         declared payload bytes must be consumed. *)
+      send "compile ir=5 demo=heat-demo ranks=2\nhello";
+      check bool_c "ambiguous spec is an error" true
+        (contains (recv ()) "error");
+      send "ping\n";
+      check bool_c "stream still in sync after ambiguous spec" true
+        (recv () = "ok pong");
+      (* 2. Valid payload, bad target knob: the failure happens after the
+         payload, which must also leave the stream clean. *)
+      send
+        (ir_request "compile" ~params: "strategy=bogus"
+           (Printer.module_to_string (heat_module ())));
+      check bool_c "bad strategy is an error" true
+        (contains (recv ()) "unknown strategy");
+      send "ping\n";
+      check bool_c "stream still in sync after bad strategy" true
+        (recv () = "ok pong");
+      (* 3. Unknown command carrying a payload: drained all the same. *)
+      send "frobnicate ir=3 x=1\nabc";
+      check bool_c "unknown command is an error" true
+        (contains (recv ()) "error");
+      send "ping\n";
+      check bool_c "stream still in sync after unknown command" true
+        (recv () = "ok pong"))
+
 (* --- the multi-client socket daemon --- *)
 
-let test_socket_concurrent_clients () =
-  Service.Artifact.clear ();
-  let s0 = Service.Artifact.stats () in
+(* A socket daemon on its own domain.  [f connect] talks to it; then a
+   [shutdown] request stops it.  Returns [f]'s result and the daemon's
+   statistics. *)
+let with_socket_server handlers f =
   let sock =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "stencilc-test-%d.sock" (Unix.getpid ()))
-  in
-  (* Two distinct programs: clients hammer both, each must compile
-     exactly once across the whole daemon. *)
-  let handlers =
-    {
-      Service.Serve.resolve_demo =
-        (fun name ->
-          match name with
-          | "h3" -> Some (heat_module ~timesteps: 3 ())
-          | "h4" -> Some (heat_module ~timesteps: 4 ())
-          | _ -> None);
-      run = None;
-    }
   in
   let ready = Atomic.make false in
   let server =
@@ -446,8 +411,40 @@ let test_socket_concurrent_clients () =
     in
     retry 100
   in
+  let result = f connect in
+  let fd = connect () in
+  let oc = Unix.out_channel_of_descr fd in
+  output_string oc "shutdown\n";
+  flush oc;
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  let server_stats = Domain.join server in
+  check bool_c "socket file removed on shutdown" false (Sys.file_exists sock);
+  (result, server_stats)
+
+let quit_connection fd ic oc =
+  output_string oc "quit\n";
+  flush oc;
+  (match In_channel.input_line ic with _ -> () | exception _ -> ());
+  Unix.close fd
+
+let test_socket_concurrent_clients () =
+  Service.Artifact.clear ();
+  let s0 = Service.Artifact.stats () in
+  (* Two distinct programs: clients hammer both, each must compile
+     exactly once across the whole daemon. *)
+  let handlers =
+    {
+      Service.Serve.resolve_demo =
+        (fun name ->
+          match name with
+          | "h3" -> Some (heat_module ~timesteps: 3 ())
+          | "h4" -> Some (heat_module ~timesteps: 4 ())
+          | _ -> None);
+      run = None;
+    }
+  in
   let requests_per_client = 10 in
-  let client _id =
+  let client connect _id =
     Domain.spawn (fun () ->
         let fd = connect () in
         let ic = Unix.in_channel_of_descr fd in
@@ -473,21 +470,13 @@ let test_socket_concurrent_clients () =
               | _ -> ())
           | None -> ()
         done;
-        output_string oc "quit\n";
-        flush oc;
-        (match In_channel.input_line ic with _ -> () | exception _ -> ());
-        Unix.close fd;
+        quit_connection fd ic oc;
         !ok)
   in
-  let clients = List.init 4 client in
-  let oks = List.map Domain.join clients in
-  (* Stop the daemon. *)
-  let fd = connect () in
-  let oc = Unix.out_channel_of_descr fd in
-  output_string oc "shutdown\n";
-  flush oc;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  let server_stats = Domain.join server in
+  let oks, server_stats =
+    with_socket_server handlers (fun connect ->
+        List.map Domain.join (List.init 4 (client connect)))
+  in
   let s1 = Service.Artifact.stats () in
   check bool_c "every response well-formed" true
     (List.for_all (fun n -> n = requests_per_client) oks);
@@ -502,8 +491,217 @@ let test_socket_concurrent_clients () =
   check int_c "one batch per cold compile" 2
     server_stats.Service.Socket_server.batches;
   check int_c "every cold compile counted" 2
-    server_stats.Service.Socket_server.batched_jobs;
-  check bool_c "socket file removed on shutdown" false (Sys.file_exists sock)
+    server_stats.Service.Socket_server.batched_jobs
+
+(* --- the payload memo: IR text -> (digest, parsed module) --- *)
+
+let heat_text ?n ?timesteps () =
+  Printer.module_to_string (heat_module ?n ?timesteps ())
+
+let memo_delta (s0 : Service.Cache.stats) =
+  let s1 = Service.Artifact.memo_stats () in
+  (s1.Service.Cache.hits - s0.Service.Cache.hits,
+   s1.Service.Cache.misses - s0.Service.Cache.misses)
+
+let hits_misses = Alcotest.(pair int int)
+
+let text_digest ~target text =
+  let _, art, _ = Service.Artifact.get_cached_text ~target text in
+  art.Service.Artifact.digest
+
+let test_memo_repeat_skips_parse () =
+  Service.Artifact.clear ();
+  let target = dist_target ~ranks: 2 in
+  let text = heat_text () in
+  let s0 = Service.Artifact.memo_stats () in
+  let m1, a1, f1 = Service.Artifact.get_cached_text ~target text in
+  let m2, a2, f2 = Service.Artifact.get_cached_text ~target text in
+  check hits_misses "one parse, then one memo hit" (1, 1) (memo_delta s0);
+  check bool_c "memo digest = a fresh parse's digest" true
+    (a2.Service.Artifact.digest
+    = Service.Artifact.digest_of ~target (Parser.parse_string text));
+  check bool_c "same digest both times" true
+    (a1.Service.Artifact.digest = a2.Service.Artifact.digest);
+  check bool_c "compiled once, then an artifact hit" true
+    (f1 = `Miss && f2 = `Hit);
+  check bool_c "the repeat shares the parsed module" true (m1 == m2)
+
+(* Position of the first digit of the first float literal attribute. *)
+let float_digit_pos text =
+  let n = String.length text in
+  let rec go i =
+    match index_of (String.sub text i (n - i)) "value = " with
+    | None -> Alcotest.fail "no float literal in the printed module"
+    | Some k ->
+        let j = i + k + String.length "value = " in
+        let stop = Option.value (String.index_from_opt text j ' ') ~default: n in
+        let literal = String.sub text j (stop - j) in
+        if String.contains literal '.' then
+          if text.[j] = '-' then j + 1 else j
+        else go j
+  in
+  go 0
+
+let test_memo_keys_on_bytes () =
+  Service.Artifact.clear ();
+  let target = dist_target ~ranks: 2 in
+  let text = heat_text () in
+  let d0 = text_digest ~target text in
+  (* One byte of a coefficient. *)
+  let flipped = Bytes.of_string text in
+  let j = float_digit_pos text in
+  Bytes.set flipped j (if text.[j] = '9' then '8' else Char.chr (Char.code text.[j] + 1));
+  let s0 = Service.Artifact.memo_stats () in
+  let d1 = text_digest ~target (Bytes.to_string flipped) in
+  check hits_misses "a flipped byte misses the memo" (0, 1) (memo_delta s0);
+  check bool_c "and gives a new digest" true (d1 <> d0);
+  (* Whitespace only: a new text, but the same canonical module. *)
+  let s1 = Service.Artifact.memo_stats () in
+  let a0 = Service.Artifact.stats () in
+  let _, art, flag =
+    Service.Artifact.get_cached_text ~target (text ^ "\n  \n")
+  in
+  check hits_misses "a whitespace edit misses the memo" (0, 1) (memo_delta s1);
+  check bool_c "but hits the artifact" true
+    (flag = `Hit && art.Service.Artifact.digest = d0);
+  check int_c "no compile" 0
+    ((Service.Artifact.stats ()).Service.Cache.misses - a0.Service.Cache.misses);
+  (* The target is part of the key: one text, two rank counts. *)
+  let d4 = text_digest ~target: (dist_target ~ranks: 4) text in
+  check bool_c "ranks=2 and ranks=4 give two digests" true (d4 <> d0);
+  check bool_c "and ranks=2 still answers its own" true
+    (text_digest ~target text = d0)
+
+let test_memo_bounded () =
+  Service.Artifact.clear ();
+  let target = dist_target ~ranks: 2 in
+  let texts =
+    Array.map (fun timesteps -> heat_text ~n: 8 ~timesteps ()) [| 1; 2; 3 |]
+  in
+  let get i = ignore (Service.Artifact.get_cached_text ~target texts.(i)) in
+  Fun.protect
+    ~finally: (fun () -> Service.Artifact.set_policy ~capacity: 128)
+    (fun () ->
+      Service.Artifact.set_policy ~capacity: 2;
+      let s0 = Service.Artifact.memo_stats () in
+      Array.iteri (fun i _ -> get i) texts;
+      check int_c "the third text evicts one" 1
+        ((Service.Artifact.memo_stats ()).Service.Cache.evictions
+        - s0.Service.Cache.evictions);
+      let s1 = Service.Artifact.memo_stats () in
+      get 0;
+      check hits_misses "the oldest text parses again" (0, 1) (memo_delta s1);
+      let s2 = Service.Artifact.memo_stats () in
+      get 2;
+      check hits_misses "the newest is resident" (1, 0) (memo_delta s2);
+      Service.Artifact.clear ();
+      let s3 = Service.Artifact.memo_stats () in
+      get 2;
+      check hits_misses "clear empties the memo" (0, 1) (memo_delta s3))
+
+(* A malformed payload fails to parse once; its repeat re-raises the
+   memoized failure, with the same message, and the stream stays in
+   sync. *)
+let test_memo_malformed_ir () =
+  Service.Artifact.clear ();
+  let s0 = Service.Artifact.memo_stats () in
+  with_pipe_server heat_demo_handlers (fun send recv ->
+      let bad = "\"builtin.module\"() ({ %0 = \"arith.bogus\"(" in
+      send (ir_request "compile" bad);
+      let e1 = recv () in
+      send (ir_request "compile" bad);
+      let e2 = recv () in
+      check bool_c "a parse error" true (contains e1 "error parse error");
+      check Alcotest.string "the same error both times" e1 e2;
+      send "ping\n";
+      check bool_c "ping still answers" true (recv () = "ok pong"));
+  let s1 = Service.Artifact.memo_stats () in
+  check int_c "parsed once" 1 (s1.Service.Cache.failures - s0.Service.Cache.failures);
+  check int_c "repeat served from the memo" 1
+    (s1.Service.Cache.failed_hits - s0.Service.Cache.failed_hits)
+
+(* Framing under load: 2000 back-to-back compile and run requests, each
+   carrying its program as an ir= payload, first on one connection, then
+   on two concurrent ones.  Every answer must come before one deadline
+   (a reply that never comes fails the receive instead of hanging) and
+   carry its own program's digest, so a lost or misframed request or
+   reply shows.  Runs execute on two Mpi_par rank domains. *)
+let test_socket_payload_stress () =
+  Service.Artifact.clear ();
+  let executor = Interp.Executor.interpreter in
+  let target = dist_target ~ranks: 2 in
+  let programs =
+    [| heat_text ~n: 8 ~timesteps: 2 (); heat_text ~n: 12 ~timesteps: 1 () |]
+  in
+  let expected =
+    Array.map
+      (fun t ->
+        Service.Artifact.digest_of ~executor ~target (Parser.parse_string t))
+      programs
+  in
+  let handlers =
+    {
+      Service.Serve.resolve_demo = (fun _ -> None);
+      run =
+        Some
+          (fun m _art ~ranks ~substrate: _ ~threads: _ ->
+            let r =
+              Driver.Harness.run_distributed ~substrate: Driver.Harness.Par
+                ~executor ~ranks m
+            in
+            [ ("max_diff", Printf.sprintf "%g" r.Driver.Harness.max_diff_vs_serial) ]);
+    }
+  in
+  let requests = 2000 in
+  let deadline = Unix.gettimeofday () +. 60. in
+  let s0 = Service.Artifact.memo_stats () in
+  let a0 = Service.Artifact.stats () in
+  (* Returns the first wrong answer, if any. *)
+  let client connect () =
+    let fd = connect () in
+    let ic = Unix.in_channel_of_descr fd in
+    let oc = Unix.out_channel_of_descr fd in
+    let rec go i =
+      if i = requests then None
+      else
+        let k = i mod 2 and cmd = if i mod 4 < 2 then "compile" else "run" in
+        output_string oc
+          (ir_request cmd ~params: "ranks=2 exec=interp substrate=par"
+             programs.(k));
+        flush oc;
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then Some (Printf.sprintf "deadline passed at request %d" i)
+        else begin
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO left;
+          match In_channel.input_line ic with
+          | exception (Sys_error _ | Sys_blocked_io) ->
+              Some (Printf.sprintf "request %d (%s) unanswered" i cmd)
+          | None -> Some (Printf.sprintf "connection closed at request %d" i)
+          | Some resp ->
+              if
+                field resp "digest" = Some expected.(k)
+                && (cmd = "compile" || field resp "max_diff" = Some "0")
+              then go (i + 1)
+              else Some (Printf.sprintf "request %d (%s): %s" i cmd resp)
+        end
+    in
+    let wrong = go 0 in
+    if wrong = None then quit_connection fd ic oc else Unix.close fd;
+    wrong
+  in
+  (* Fail before the daemon is shut down: shutting down joins every
+     connection domain, and one with a stuck request would never end. *)
+  let fail_on = Option.iter (fun w -> Alcotest.fail w) in
+  ignore
+    (with_socket_server handlers (fun connect ->
+         fail_on (client connect ());
+         List.iter fail_on
+           (List.map Domain.join
+              (List.init 2 (fun _ -> Domain.spawn (client connect))))));
+  check hits_misses "each text parsed once" (3 * requests - 2, 2)
+    (memo_delta s0);
+  check int_c "each program compiled once" 2
+    ((Service.Artifact.stats ()).Service.Cache.misses - a0.Service.Cache.misses)
 
 (* --- the on-disk artifact store: restart persistence --- *)
 
@@ -859,4 +1057,14 @@ let suite =
       test_store_edited_lowered_not_served;
     Alcotest.test_case "store: truncated lowered text is recompiled" `Quick
       test_store_truncated_lowered_not_served;
+    Alcotest.test_case "memo: a repeated text is not parsed again" `Quick
+      test_memo_repeat_skips_parse;
+    Alcotest.test_case "memo: keyed on bytes, target and executor" `Quick
+      test_memo_keys_on_bytes;
+    Alcotest.test_case "memo: bounded by set_policy, emptied by clear" `Quick
+      test_memo_bounded;
+    Alcotest.test_case "memo: a malformed ir= fails the same way twice" `Quick
+      test_memo_malformed_ir;
+    Alcotest.test_case "socket daemon: 2000 ir= requests on 1 and 2 connections"
+      `Quick test_socket_payload_stress;
   ]
